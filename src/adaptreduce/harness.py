@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, normalize_rows, parse_libsvm, serialize_libsvm
 from .errors import ConfigError, DataError, NumericalError
 from .objectives import Case, CompositeObjective
-from .reductions import (ReductionParams, adapt_reg, adapt_smooth,
+from .reductions import (ReductionParams, _drive, adapt_reg, adapt_smooth,
                          classical_reg, classical_smooth, default_params,
                          joint_adapt)
 from .references import base_reference
@@ -283,18 +283,12 @@ def _resolve_params(config: ExperimentConfig, F: CompositeObjective,
 
 def _records_to_trace(F: CompositeObjective, records, F_star: float) -> ConvergenceTrace:
     trace = ConvergenceTrace()
-    n = max(F.n, 1)
-    full = 0
-    samples = 0
     for rec in records:
-        full += rec.report.full_evals
-        samples += rec.report.sample_evals
-        passes = full + samples / n
-        if trace.rows and passes <= trace.rows[-1].passes:
+        if trace.rows and rec.passes <= trace.rows[-1].passes:
             continue  # budget-edge epoch that could not afford any work
         obj = F.full_value(rec.x_hat)
         trace.rows.append(TraceRow(
-            epoch=rec.t, passes=passes, objective=float(obj),
+            epoch=rec.t, passes=rec.passes, objective=float(obj),
             subopt=float(obj - F_star), stat=float(rec.report.final_stat),
             sigma_t=float(rec.sigma_t), lambda_t=float(rec.lambda_t)))
     return trace
@@ -317,22 +311,13 @@ def run_experiment(config: ExperimentConfig,
     oracle = _ORACLE_FN[config.oracle]
     method = config.method
     if method in ("adaptreg", "adaptsmooth", "joint"):
-        params = _resolve_params(config, F, x_ref)
-        if method == "adaptreg":
-            policy = PracticalGapQuarter()
-            _, records = adapt_reg(F, oracle, x0, params, policy,
-                                   seed=config.seed,
-                                   pass_budget=config.pass_budget)
-        elif method == "adaptsmooth":
-            policy = PracticalGradThird()
-            _, records = adapt_smooth(F, oracle, x0, params, policy,
-                                      seed=config.seed,
-                                      pass_budget=config.pass_budget)
-        else:
-            policy = PracticalGradThird()
-            _, records = joint_adapt(F, oracle, x0, params, policy,
-                                     seed=config.seed,
-                                     pass_budget=config.pass_budget)
+        reduce_fn = {"adaptreg": adapt_reg, "adaptsmooth": adapt_smooth,
+                     "joint": joint_adapt}[method]
+        policy = (PracticalGapQuarter() if method == "adaptreg"
+                  else PracticalGradThird())
+        _, records = reduce_fn(F, oracle, x0, _resolve_params(config, F, x_ref),
+                               policy, seed=config.seed,
+                               pass_budget=config.pass_budget)
     elif method == "classical-reg":
         _, records = classical_reg(F, oracle, x0, config.sigma,
                                    seed=config.seed,
@@ -343,12 +328,11 @@ def run_experiment(config: ExperimentConfig,
                                       seed=config.seed,
                                       pass_budget=config.pass_budget,
                                       target_stat=config.eps)
-    else:  # direct
-        report = oracle(F, x0, TheoryBudget(), seed=config.seed,
-                        pass_cap=config.pass_budget)
-        from .reductions import EpochRecord
-        records = [EpochRecord(t=0, sigma_t=0.0, lambda_t=0.0,
-                               x_hat=report.x_out, report=report)]
+    else:  # direct: one epoch of the oracle's certified budget on F itself
+        _, records = _drive(F, oracle, x0, TheoryBudget(), [(0.0, 0.0)],
+                            lambda sigma_t, lam_t: F, seed=config.seed,
+                            pass_budget=config.pass_budget,
+                            epoch_seed=lambda seed, t: seed)
 
     trace = _records_to_trace(F, records, F_star)
     if write:

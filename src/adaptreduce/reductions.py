@@ -17,17 +17,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .objectives import Case, CompositeObjective
 from .solvers import (OracleReport, PracticalGapQuarter, PracticalGradThird,
-                      STAT_FLOOR,
-                      TerminationPolicy, reference_minimize)
+                      STAT_FLOOR, reference_minimize)
 
 HALVING = 2.0  # fixed epoch halving factor; the analysis constants assume it
+_EPOCH_GUARD = 10 ** 6  # constant schedules give up after this many epochs
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,7 @@ class EpochRecord:
     lambda_t: float
     x_hat: np.ndarray
     report: OracleReport
+    passes: float  # cumulative data passes through this epoch
     D_estimate: float | None = None
 
 
@@ -100,37 +100,51 @@ def _require_case(F: CompositeObjective, case: Case, who: str):
         raise ConfigError(f"{who} requires a {case.name} objective; got {got.name}")
 
 
-def _run_epochs(F, oracle, x0, params, policy, transform, schedule, *,
-                seed, pass_budget, record_D, ref_tol):
-    """Shared epoch loop: transform -> oracle -> record, with exact integer
-    pass accounting threaded through the oracle's pass caps."""
-    x0 = np.array(x0, dtype=float)
-    x_hat = x0.copy()
+def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
+           pass_budget=None, stalled=None, record_D=False, ref_tol=1e-12,
+           epoch_seed=_epoch_seed):
+    """The one epoch loop: for each (sigma_t, lambda_t) of the schedule,
+    call the oracle on transform(sigma_t, lambda_t), warm-started at the
+    previous epoch's output.
+
+    Passes are counted here, once, from each report's integer full and
+    sample evaluations, and stored cumulatively on the records.  The driver
+    owns the practical policies' baseline: the last statistic an oracle
+    recorded is handed to the next call.  The run ends with the schedule,
+    when `stalled(report)` is true, or once the pass budget is spent: an
+    epoch that could afford no work leaves the remaining budget, and so
+    every later epoch, unchanged.
+    """
+    x_hat = np.array(x0, dtype=float)
     records: list[EpochRecord] = []
     n = max(F.n, 1)
     full = 0
     samples = 0
-    for t in range(params.T):
+    baseline = None
+    for t, (sigma_t, lam_t) in enumerate(schedule):
         remaining = None
         if pass_budget is not None:
             remaining = pass_budget - (full + samples / n)
             if remaining <= 1e-9:
                 break
-        sigma_t, lam_t = schedule(t)
-        F_t = transform(t, sigma_t, lam_t)
-        report = oracle(F_t, x_hat, policy, seed=_epoch_seed(seed, t),
-                        pass_cap=remaining)
-        x_hat = np.array(report.x_out, dtype=float)
+        F_t = transform(sigma_t, lam_t)
+        report = oracle(F_t, x_hat, policy, seed=epoch_seed(seed, t),
+                        pass_cap=remaining, baseline=baseline)
         full += report.full_evals
         samples += report.sample_evals
+        if report.recorded_stat is not None:
+            baseline = report.recorded_stat
         D = None
         if record_D:
             x_star_t = reference_minimize(F_t, ref_tol)
-            D = F_t.full_value(records[-1].x_hat if records else x0) \
-                - F_t.full_value(x_star_t)
+            D = F_t.full_value(x_hat) - F_t.full_value(x_star_t)
+        x_hat = np.array(report.x_out, dtype=float)
         records.append(EpochRecord(
             t=t, sigma_t=sigma_t, lambda_t=lam_t, x_hat=x_hat, report=report,
-            D_estimate=D))
+            passes=full + samples / n, D_estimate=D))
+        idle = report.full_evals == 0 and report.sample_evals == 0
+        if (pass_budget is not None and idle) or (stalled and stalled(report)):
+            break
     return x_hat, records
 
 
@@ -143,16 +157,11 @@ def adapt_reg(F, oracle, x0, params: ReductionParams, policy, *,
     if params.sigma0 is None:
         raise ConfigError("adapt_reg needs sigma0")
     x0 = np.array(x0, dtype=float)
-
-    def schedule(t):
-        return params.sigma0 / HALVING ** t, 0.0
-
-    def transform(t, sigma_t, lam_t):
-        return F.regularize(sigma_t, x0)
-
-    return _run_epochs(F, oracle, x0, params, policy, transform, schedule,
-                       seed=seed, pass_budget=pass_budget, record_D=record_D,
-                       ref_tol=ref_tol)
+    schedule = [(params.sigma0 / HALVING ** t, 0.0) for t in range(params.T)]
+    return _drive(F, oracle, x0, policy, schedule,
+                  lambda sigma_t, lam_t: F.regularize(sigma_t, x0),
+                  seed=seed, pass_budget=pass_budget, record_D=record_D,
+                  ref_tol=ref_tol)
 
 
 def adapt_smooth(F, oracle, x0, params: ReductionParams, policy, *,
@@ -164,16 +173,11 @@ def adapt_smooth(F, oracle, x0, params: ReductionParams, policy, *,
         raise ConfigError(
             "adapt_smooth needs lam0 (unavailable from defaults when the loss "
             "is not Lipschitz, e.g. squared loss has G = inf)")
-
-    def schedule(t):
-        return 0.0, params.lam0 / HALVING ** t
-
-    def transform(t, sigma_t, lam_t):
-        return F.smooth(lam_t)
-
-    return _run_epochs(F, oracle, x0, params, policy, transform, schedule,
-                       seed=seed, pass_budget=pass_budget, record_D=record_D,
-                       ref_tol=ref_tol)
+    schedule = [(0.0, params.lam0 / HALVING ** t) for t in range(params.T)]
+    return _drive(F, oracle, x0, policy, schedule,
+                  lambda sigma_t, lam_t: F.smooth(lam_t),
+                  seed=seed, pass_budget=pass_budget, record_D=record_D,
+                  ref_tol=ref_tol)
 
 
 def joint_adapt(F, oracle, x0, params: ReductionParams, policy, *,
@@ -185,51 +189,33 @@ def joint_adapt(F, oracle, x0, params: ReductionParams, policy, *,
     if params.sigma0 is None or params.lam0 is None:
         raise ConfigError("joint_adapt needs both sigma0 and lam0")
     x0 = np.array(x0, dtype=float)
-
-    def schedule(t):
-        h = HALVING ** t
-        return params.sigma0 / h, params.lam0 / h
-
-    def transform(t, sigma_t, lam_t):
-        return F.smooth(lam_t).regularize(sigma_t, x0)
-
-    return _run_epochs(F, oracle, x0, params, policy, transform, schedule,
-                       seed=seed, pass_budget=pass_budget, record_D=record_D,
-                       ref_tol=ref_tol)
+    schedule = [(params.sigma0 / HALVING ** t, params.lam0 / HALVING ** t)
+                for t in range(params.T)]
+    return _drive(F, oracle, x0, policy, schedule,
+                  lambda sigma_t, lam_t: F.smooth(lam_t).regularize(sigma_t, x0),
+                  seed=seed, pass_budget=pass_budget, record_D=record_D,
+                  ref_tol=ref_tol)
 
 
-def _classical_loop(F_fixed, oracle, x0, policy, sigma_t, lam_t, *,
-                    seed, pass_budget, target_stat):
-    x = np.array(x0, dtype=float)
-    records: list[EpochRecord] = []
-    n = max(F_fixed.n, 1)
-    full = 0
-    samples = 0
-    t = 0
-    while True:
-        if t > 10 ** 6:
-            raise ConfigError(
-                "classical reduction ran 10^6 epochs; give a pass_budget or target")
-        remaining = None
-        if pass_budget is not None:
-            remaining = pass_budget - (full + samples / n)
-            if remaining <= 1e-9:
-                break
-        report = oracle(F_fixed, x, policy, seed=_epoch_seed(seed, t),
-                        pass_cap=remaining)
-        x = np.array(report.x_out, dtype=float)
-        full += report.full_evals
-        samples += report.sample_evals
-        records.append(EpochRecord(
-            t=t, sigma_t=sigma_t, lambda_t=lam_t, x_hat=x, report=report))
-        if report.iterations == 0:
-            break
-        if report.final_stat < STAT_FLOOR:
-            break
-        if target_stat is not None and report.final_stat <= target_stat:
-            break
-        t += 1
-    return x, records
+def _classical(F_fixed, oracle, x0, policy, sigma, lam, *, seed, pass_budget,
+               target_stat):
+    """Run F_fixed under the constant schedule (sigma, lam) until it stalls:
+    no oracle iterations, a statistic under STAT_FLOOR or at target_stat."""
+
+    def constant():
+        for _ in range(_EPOCH_GUARD + 1):
+            yield sigma, lam
+        raise ConfigError(
+            "classical reduction ran 10^6 epochs; give a pass_budget or target")
+
+    def stalled(report):
+        return (report.iterations == 0 or report.final_stat < STAT_FLOOR
+                or (target_stat is not None
+                    and report.final_stat <= target_stat))
+
+    return _drive(F_fixed, oracle, x0, policy, constant(),
+                  lambda sigma_t, lam_t: F_fixed, seed=seed,
+                  pass_budget=pass_budget, stalled=stalled)
 
 
 def classical_reg(F, oracle, x0, sigma: float, *, policy=None, seed=None,
@@ -244,9 +230,9 @@ def classical_reg(F, oracle, x0, sigma: float, *, policy=None, seed=None,
     if policy is None:
         policy = PracticalGapQuarter()
     F_fixed = F.regularize(sigma, np.array(x0, dtype=float))
-    return _classical_loop(F_fixed, oracle, x0, policy, sigma, 0.0,
-                           seed=seed, pass_budget=pass_budget,
-                           target_stat=target_stat)
+    return _classical(F_fixed, oracle, x0, policy, sigma, 0.0,
+                      seed=seed, pass_budget=pass_budget,
+                      target_stat=target_stat)
 
 
 def classical_smooth(F, oracle, x0, lam: float, *, policy=None, seed=None,
@@ -260,7 +246,6 @@ def classical_smooth(F, oracle, x0, lam: float, *, policy=None, seed=None,
         raise ConfigError("classical_smooth needs lambda > 0")
     if policy is None:
         policy = PracticalGradThird()
-    F_fixed = F.smooth(lam)
-    return _classical_loop(F_fixed, oracle, x0, policy, 0.0, lam,
-                           seed=seed, pass_budget=pass_budget,
-                           target_stat=target_stat)
+    return _classical(F.smooth(lam), oracle, x0, policy, 0.0, lam,
+                      seed=seed, pass_budget=pass_budget,
+                      target_stat=target_stat)

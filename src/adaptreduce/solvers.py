@@ -1,7 +1,13 @@
 """Inner solvers with the homogeneous-objective-decrease (HOOD) contract.
 
 Each solver takes a strongly convex and smooth (Case1) objective and a
-termination policy and returns an OracleReport.  Under TheoryBudget the
+termination policy and returns an OracleReport.  The call is
+
+    oracle(F, x0, policy, *, seed=None, pass_cap=None, baseline=None)
+
+where `baseline` is the statistic the caller's previous oracle call
+recorded last (its report's recorded_stat); the practical policies measure
+their decrease against it.  Policies carry no state between calls.  Under TheoryBudget the
 iteration counts are chosen so the solver's linear-rate bound guarantees the
 objective gap shrinks by a factor of at least 4 (the HOOD contract); the
 stochastic solvers provide that decrease in expectation only.
@@ -40,14 +46,14 @@ class TheoryBudget:
 
 @dataclass
 class PracticalGapQuarter:
-    """Stop when the duality gap falls below 1/4 of the previous epoch's
-    last recorded gap (or of the first gap recorded when no history exists).
+    """Stop when the duality gap falls below 1/4 of the baseline: the gap
+    the previous epoch recorded last, handed in by the caller (or the first
+    gap recorded when there is none).
 
     check_interval is in stochastic-step units; None means ceil(n/3).
     """
 
     check_interval: int | None = None
-    last_stat: float | None = None
     factor = 0.25
 
     def interval(self, n: int) -> int:
@@ -61,8 +67,9 @@ class PracticalGapQuarter:
 
 @dataclass
 class PracticalGradThird:
-    """Stop when the gradient norm falls below 1/3 of the previous epoch's
-    last recorded norm (or of the first norm recorded this epoch).
+    """Stop when the gradient norm falls below 1/3 of the baseline: the
+    norm the previous epoch recorded last, handed in by the caller (or the
+    first norm recorded this epoch when there is none).
 
     The statistic is the norm of the gradient of the whole differentiable
     part (f plus psi's quadratic terms, never the l1 term): with a shifted
@@ -73,7 +80,6 @@ class PracticalGradThird:
     """
 
     snapshot_interval: int | None = None
-    last_stat: float | None = None
     factor = 1.0 / 3.0
 
     def interval(self, n: int) -> int:
@@ -110,17 +116,18 @@ class OracleReport:
     budget_used: int
     full_evals: int = 0
     sample_evals: int = 0
+    recorded_stat: float | None = None  # last statistic recorded, if any
 
 
 class _Run:
     """Shared bookkeeping for one solver invocation: pass counters, the
     practical-policy baseline, and the pass cap."""
 
-    def __init__(self, F, policy, pass_cap):
+    def __init__(self, F, policy, pass_cap, baseline):
         self.F = F
         self.n = max(F.n, 1)
         self.policy = policy if isinstance(policy, _PRACTICAL) else None
-        self.baseline = self.policy.last_stat if self.policy else None
+        self.baseline = baseline if self.policy else None
         self.latest: float | None = None
         self.pass_cap = pass_cap
         self.full = 0
@@ -154,8 +161,6 @@ class _Run:
         return self.latest < self.policy.factor * self.baseline
 
     def finish(self, x, iterations, budget) -> OracleReport:
-        if self.policy is not None and self.latest is not None:
-            self.policy.last_stat = self.latest
         stat = self.latest if self.latest is not None else 0.0
         return OracleReport(
             x_out=np.asarray(x, dtype=float),
@@ -165,6 +170,7 @@ class _Run:
             budget_used=budget,
             full_evals=self.full,
             sample_evals=self.samples,
+            recorded_stat=self.latest,
         )
 
 
@@ -214,7 +220,8 @@ def _deterministic_budget(policy, who, L, sigma):
 # deterministic full-gradient solvers
 # ---------------------------------------------------------------------------
 
-def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
+def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
+                 baseline=None) -> OracleReport:
     """Proximal gradient descent with step 1/L.
 
     TheoryBudget runs ceil(ln(4) L/sigma) iterations: each step contracts
@@ -226,7 +233,7 @@ def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
     L, sigma = F.smoothness, F.strong_convexity
     if L <= 0.0:
         L = sigma  # constant f: any positive step; prox does all the work
-    run = _Run(F, policy, pass_cap)
+    run = _Run(F, policy, pass_cap, baseline)
     n = run.n
     budget = _deterministic_budget(policy, "prox_gd_hood", L, sigma)
     check_every = None
@@ -262,7 +269,8 @@ def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
     return run.finish(x, it, budget or 0)
 
 
-def apg_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
+def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
+             baseline=None) -> OracleReport:
     """Accelerated proximal gradient with fixed strong-convexity momentum
     (sqrt(L) - sqrt(sigma)) / (sqrt(L) + sqrt(sigma)).
 
@@ -279,7 +287,7 @@ def apg_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
     if L > sigma:
         rL, rS = math.sqrt(L), math.sqrt(sigma)
         beta = (rL - rS) / (rL + rS)
-    run = _Run(F, policy, pass_cap)
+    run = _Run(F, policy, pass_cap, baseline)
     n = run.n
     budget = _deterministic_budget(policy, "apg_hood", L, sigma)
     check_every = None
@@ -337,7 +345,8 @@ def _svrg_theory(n: int, L: float, sigma: float) -> tuple[int, int]:
     return 1, max(1, math.ceil(8.0 * L / sigma))
 
 
-def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
+def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
+              baseline=None) -> OracleReport:
     """Prox-SVRG: full-gradient snapshot every m inner steps, variance
     reduced stochastic prox steps at eta = 1/L, next snapshot taken at the
     last inner iterate.
@@ -353,7 +362,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
     L, sigma = F.smoothness, F.strong_convexity
     eta = 1.0 / L
     n = F.n
-    run = _Run(F, policy, pass_cap)
+    run = _Run(F, policy, pass_cap, baseline)
     rng = _rng(seed)
 
     if isinstance(policy, TheoryBudget):
@@ -462,7 +471,8 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
     return 0.5 * (s_lo + s_hi)
 
 
-def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
+def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
+              baseline=None) -> OracleReport:
     """Proximal stochastic dual coordinate ascent with exact per-coordinate
     maximization (the steepest, automatic choice).
 
@@ -481,7 +491,7 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None) -> OracleReport:
     n = F.n
     L = F.smoothness
     lam = 0.0 if F.smoothing is None else F.smoothing
-    run = _Run(F, policy, pass_cap)
+    run = _Run(F, policy, pass_cap, baseline)
     rng = _rng(seed)
 
     if isinstance(policy, TheoryBudget):
@@ -595,7 +605,8 @@ def reference_minimize(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
 
 
 def exact_oracle(F: CompositeObjective, x0, policy=None, *, seed=None,
-                 pass_cap=None, tol: float = 1e-12) -> OracleReport:
+                 pass_cap=None, baseline=None,
+                 tol: float = 1e-12) -> OracleReport:
     """Test-mode oracle: returns the reference minimizer of F regardless of
     policy or start, for verifying the reduction analysis independently of
     inner-solver quality."""

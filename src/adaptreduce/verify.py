@@ -197,9 +197,8 @@ def verify_bound(name: str, F: CompositeObjective, x0, T: int, *,
     params = ReductionParams(sigma0=sigma0, lam0=lam0, T=T,
                              delta=delta, theta=theta, G=G)
 
-    def oracle(F_t, x, policy, *, seed=None, pass_cap=None):
-        return exact_oracle(F_t, x, policy, seed=seed, pass_cap=pass_cap,
-                            tol=ref_tol)
+    def oracle(F_t, x, policy, **kwargs):
+        return exact_oracle(F_t, x, policy, tol=ref_tol, **kwargs)
 
     reduce_fn = {"adaptreg": adapt_reg, "adaptsmooth": adapt_smooth,
                  "joint": joint_adapt}[family]

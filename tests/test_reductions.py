@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from adaptreduce import (Case, CompositeObjective, ConfigError, Dataset,
-                         FixedIterations, HALVING, ReductionParams,
-                         Regularizer, adapt_reg, adapt_smooth, apg_hood,
-                         base_reference, classical_reg, classical_smooth,
-                         default_params, exact_oracle, joint_adapt,
-                         quadratic_reference, svrg_hood)
+                         FixedIterations, HALVING, PracticalGapQuarter,
+                         ReductionParams, Regularizer, adapt_reg,
+                         adapt_smooth, apg_hood, base_reference,
+                         classical_reg, classical_smooth, default_params,
+                         exact_oracle, joint_adapt, quadratic_reference,
+                         sdca_hood, svrg_hood)
 
 
 def dense_ds(A, b):
@@ -204,6 +205,41 @@ def test_pass_budget_truncates_epochs():
     assert used <= 5.0 + 1e-9
     assert len(records) == 2          # 4 passes, then a 1-pass stub epoch
     assert records[1].report.data_passes == 1.0
+
+
+def test_budgeted_run_stops_at_the_first_idle_epoch():
+    rng = np.random.default_rng(83)
+    F, *_ = least_squares(rng, n=10, d=3)
+    F = CompositeObjective(F.data, "squared", Regularizer(l1=0.01))
+    calls = []
+
+    def oracle(F_t, x, policy, **kwargs):
+        calls.append(sdca_hood(F_t, x, policy, **kwargs))
+        return calls[-1]
+
+    _, records = adapt_reg(F, oracle, np.zeros(3),
+                           ReductionParams(sigma0=1.0, T=20),
+                           FixedIterations(10), seed=3, pass_budget=7.05)
+    # per epoch: dual init + 10 steps + final gap = 3 passes; the third
+    # epoch cannot afford its dual init and one step (1.1 passes), and no
+    # later epoch could either, so none is run
+    assert [r.passes for r in records] == [3.0, 6.0, 6.0]
+    assert len(calls) == len(records) == 3
+    np.testing.assert_array_equal(records[2].x_hat, records[1].x_hat)
+
+
+def test_shared_policy_gives_identical_runs():
+    rng = np.random.default_rng(84)
+    F, *_ = least_squares(rng, n=30, d=4)
+    F = CompositeObjective(F.data, "squared", Regularizer(l1=0.01))
+    policy = PracticalGapQuarter()
+    params = ReductionParams(sigma0=1.0, T=4)
+    runs = [adapt_reg(F, sdca_hood, np.zeros(4), params, policy, seed=2)[1]
+            for _ in range(2)]
+    for a, b in zip(*runs):
+        assert a.report.iterations == b.report.iterations
+        assert a.passes == b.passes
+        np.testing.assert_array_equal(a.x_hat, b.x_hat)
 
 
 def test_record_D_estimates():

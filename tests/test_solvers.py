@@ -149,10 +149,14 @@ def test_practical_policy_threads_baseline_between_runs():
     F, _, _ = ridge(rng, 20, 5, l2=0.5)
     policy = PracticalGradThird(snapshot_interval=20)
     r1 = prox_gd_hood(F, np.ones(5), policy)
-    assert policy.last_stat == pytest.approx(r1.final_stat)
-    # second run starts from the recorded baseline: it must beat a third of it
-    r2 = prox_gd_hood(F, r1.x_out, policy)
+    assert r1.recorded_stat == pytest.approx(r1.final_stat)
+    # second run measures against the handed-in baseline: it must beat a
+    # third of it
+    r2 = prox_gd_hood(F, r1.x_out, policy, baseline=r1.recorded_stat)
     assert r2.final_stat < r1.final_stat / 3.0 + 1e-12
+    # the policy keeps nothing between calls: the same call repeats exactly
+    again = prox_gd_hood(F, r1.x_out, policy, baseline=r1.recorded_stat)
+    np.testing.assert_array_equal(again.x_out, r2.x_out)
 
 
 def test_pass_cap_truncates():
