@@ -313,8 +313,10 @@ def run_experiment(config: ExperimentConfig,
     if method in ("adaptreg", "adaptsmooth", "joint"):
         reduce_fn = {"adaptreg": adapt_reg, "adaptsmooth": adapt_smooth,
                      "joint": joint_adapt}[method]
-        policy = (PracticalGapQuarter() if method == "adaptreg"
-                  else PracticalGradThird())
+        # the gradient-norm statistic leaves out the l1 term, so only the
+        # l1-free adaptsmooth tasks can use it
+        policy = (PracticalGradThird() if method == "adaptsmooth"
+                  else PracticalGapQuarter())
         _, records = reduce_fn(F, oracle, x0, _resolve_params(config, F, x_ref),
                                policy, seed=config.seed,
                                pass_budget=config.pass_budget)

@@ -41,7 +41,7 @@ GOLDEN = {
     "l1svm-joint-sdca-budget": (
         "classification", dict(task="l1svm", l1_weight=0.05, method="joint",
                                oracle="sdca", T=4, seed=7, pass_budget=20.0),
-        "0758b6f32843f07fba78aaeec1b8442f6b39615639ddd15596d15637ffc39f4c"),
+        "7b56be35682e4a3c295a04c89f4d8289abcb1e3ee9c66e5dad9bb32a7fd62895"),
     "lasso-classical-reg-apg": (
         "regression", dict(task="lasso", l1_weight=0.05,
                            method="classical-reg", oracle="apg", sigma=0.1),

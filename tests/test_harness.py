@@ -183,6 +183,18 @@ def test_run_experiment_adaptsmooth_lambda_echo(tmp_path, class_file):
     assert lams == [0.4 / 2 ** t for t in range(len(lams))]
 
 
+def test_run_experiment_joint_finishes_without_a_budget(tmp_path):
+    # joint tasks carry an l1 term; a statistic that leaves it out would
+    # never fall to a third of its baseline and the run would not end
+    path = str(tmp_path / "l1svm.txt")
+    write_dataset(gen_classification(62, 40, 8), path)
+    trace = run_experiment(ExperimentConfig(
+        data_path=path, task="l1svm", l1_weight=0.05, method="joint",
+        oracle="apg", T=4, out_dir=str(tmp_path)))
+    assert [r.epoch for r in trace.rows] == [0, 1, 2, 3]
+    assert trace.rows[-1].subopt < trace.rows[0].subopt
+
+
 def test_byte_identical_reruns(tmp_path, ridge_file):
     c = cfg(data_path=ridge_file, task="lasso", l1_weight=0.05,
             method="adaptreg", oracle="sdca", T=3, seed=9,
