@@ -1,16 +1,18 @@
 """Inner solvers with the homogeneous-objective-decrease (HOOD) contract.
 
 Each solver takes a strongly convex and smooth (Case1) objective and a
-termination policy and returns an OracleReport.  The call is
+termination policy and returns an OracleReport.  Under TheoryBudget the
+iteration counts are chosen so the solver's linear-rate bound guarantees the
+objective gap shrinks by a factor of at least 4 (the HOOD contract); the
+stochastic solvers provide that decrease in expectation only.
+
+Every solver is called as
 
     oracle(F, x0, policy, *, seed=None, pass_cap=None, baseline=None)
 
 where `baseline` is the statistic the caller's previous oracle call
 recorded last (its report's recorded_stat); the practical policies measure
-their decrease against it.  Policies carry no state between calls.  Under TheoryBudget the
-iteration counts are chosen so the solver's linear-rate bound guarantees the
-objective gap shrinks by a factor of at least 4 (the HOOD contract); the
-stochastic solvers provide that decrease in expectation only.
+their decrease against it.  Policies carry no state between calls.
 
 Pass accounting: one full-gradient or statistic evaluation costs one pass
 over the data; one stochastic step costs 1/n.  A gradient-norm statistic
