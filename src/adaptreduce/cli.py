@@ -13,6 +13,7 @@ points at a flat "key = value" file whose entries the flags override.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, DataError, NumericalError
@@ -129,7 +130,6 @@ def _cmd_reference(args) -> int:
     F = build_objective(data, config.task, config.l1_weight, config.l2_weight)
     key = reference_cache_key(data, config.task, config.l1_weight,
                               config.l2_weight, config.normalize)
-    import os
     cache_dir = os.path.join(config.out_dir, "_refcache")
     x_ref = cached_reference(F, key, cache_dir)
     print(f"reference cached at {os.path.join(cache_dir, key + '.ref')}")

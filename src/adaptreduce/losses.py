@@ -29,12 +29,8 @@ _NEWTON_TOL = 1e-12  # absolute tolerance of the smoothed-logistic maximizer
 
 def _sigmoid(t):
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # never overflows
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(t):
@@ -146,24 +142,26 @@ def loss_conjugate(kind, beta, b):
 # smoothing
 # ---------------------------------------------------------------------------
 
-def _unit_smoothed_hinge(t, mu):
-    """Value and argmax beta of max_{beta in [-1,0]} beta t - beta - mu/2 beta^2."""
-    t = np.asarray(t, dtype=float)
+def _unit_smoothed_hinge(t, mu, value=True):
+    """Value (None unless asked for) and argmax beta of
+    max_{beta in [-1,0]} beta t - beta - mu/2 beta^2."""
     beta = np.clip((t - 1.0) / mu, -1.0, 0.0)
+    if not value:
+        return None, beta
     val = np.where(
         t >= 1.0, 0.0,
         np.where(t <= 1.0 - mu, 1.0 - t - 0.5 * mu, (1.0 - t) ** 2 / (2.0 * mu)))
     return val, beta
 
 
-def _unit_smoothed_logistic(t, mu):
-    """Value and argmax beta for the logistic conjugate with quadratic term.
+def _unit_smoothed_logistic(t, mu, value=True):
+    """Value (None unless asked for) and argmax beta for the logistic
+    conjugate with quadratic term.
 
     With beta = -sigmoid(-u) the stationarity condition becomes
     u = t + mu * sigmoid(-u), a monotone scalar equation solved by bisection
     on [t, t + mu] to below the 1e-12 tolerance.
     """
-    t = np.asarray(t, dtype=float)
     lo = t.copy()
     hi = t + mu
     # 64 halvings shrink the bracket by 5e-20, far below tolerance
@@ -175,6 +173,8 @@ def _unit_smoothed_logistic(t, mu):
         hi = np.where(smaller, hi, mid)
     u = 0.5 * (lo + hi)
     beta = -_sigmoid(-u)
+    if not value:
+        return None, beta
     # f*(beta) with (-beta) = sigmoid(-u), (1+beta) = sigmoid(u):
     # log sigmoid(v) = -softplus(-v)
     fstar = -(_sigmoid(-u) * _softplus(u) + _sigmoid(u) * _softplus(-u))
@@ -182,34 +182,26 @@ def _unit_smoothed_logistic(t, mu):
     return val, beta
 
 
-def _smoothed_value_and_deriv(kind, z, b, lam):
+def _smoothed_value_and_deriv(kind, z, b, lam, value=True):
+    """The smoothed loss's value (None when value=False) and derivative."""
     _check_kind(kind)
     if lam <= 0.0:
         raise ConfigError("smoothing parameter must be positive")
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)
     if kind == "squared":
-        val = (z - b) ** 2 / (2.0 * (1.0 + lam))
+        val = (z - b) ** 2 / (2.0 * (1.0 + lam)) if value else None
         return val, (z - b) / (1.0 + lam)
-    bz = np.broadcast_to(b, np.broadcast_shapes(z.shape, b.shape)).astype(float)
-    zz = np.broadcast_to(z, bz.shape).astype(float)
-    out_v = np.empty_like(zz)
-    out_g = np.empty_like(zz)
-    nonzero = bz != 0.0
-    if np.any(nonzero):
-        bi = bz[nonzero]
-        t = bi * zz[nonzero]
-        mu = lam * bi * bi
-        if kind == "hinge":
-            v, beta1 = _unit_smoothed_hinge(t, mu)
-        else:
-            v, beta1 = _unit_smoothed_logistic(t, mu)
-        out_v[nonzero] = v
-        out_g[nonzero] = bi * beta1
-    if np.any(~nonzero):
-        out_v[~nonzero] = 1.0 if kind == "hinge" else np.log(2.0)
-        out_g[~nonzero] = 0.0
-    return out_v, out_g
+    # b == 0 makes the loss constant: its lanes run the unit formulas at
+    # mu = 1 and are overwritten
+    nonzero = b != 0.0
+    t = b * z
+    mu = np.where(nonzero, lam * b * b, 1.0)
+    unit = _unit_smoothed_hinge if kind == "hinge" else _unit_smoothed_logistic
+    v, beta1 = unit(t, mu, value)
+    if value:
+        v = np.where(nonzero, v, 1.0 if kind == "hinge" else np.log(2.0))
+    return v, np.where(nonzero, b * beta1, 0.0)
 
 
 def smoothed_value(kind, z, b, lam):
@@ -217,7 +209,7 @@ def smoothed_value(kind, z, b, lam):
 
 
 def smoothed_deriv(kind, z, b, lam):
-    return _smoothed_value_and_deriv(kind, z, b, lam)[1]
+    return _smoothed_value_and_deriv(kind, z, b, lam, value=False)[1]
 
 
 def smoothed_conjugate(kind, beta, b, lam):

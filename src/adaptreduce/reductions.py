@@ -113,7 +113,9 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
     recorded is handed to the next call.  The run ends with the schedule,
     when `stalled(report)` is true, or once the pass budget is spent: an
     epoch that could afford no work leaves the remaining budget, and so
-    every later epoch, unchanged.
+    every later epoch, unchanged.  The hinge references use `stalled` as a
+    stop hook too: it polishes each epoch's output and ends the run at the
+    first certified point.
     """
     x_hat = np.array(x0, dtype=float)
     records: list[EpochRecord] = []

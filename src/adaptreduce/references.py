@@ -1,13 +1,21 @@
 """High-accuracy reference minimizers for every objective class.
 
-Strongly convex smooth problems use the duality-gap-certified APG loop from
-`solvers.reference_minimize`.  The remaining classes get a two-stage
-treatment: an uncertified warmup locates the combinatorial structure (active
-set of an l1 problem, margin/support sets of a hinge problem), then a direct
-linear-algebra polish solves the optimality system on that structure exactly
-and the full KKT conditions are verified.  A failed verification raises
-rather than returning a sloppy point, so every reference is certificate
-backed.
+Strongly convex smooth problems (Case1) use the duality-gap-certified APG
+loop `solvers.reference_minimize`.  The other classes are warmed up first to
+locate the combinatorial structure, then polished: a direct solve of the
+optimality system on that structure, followed by a check of the full KKT
+conditions.  A failed check raises rather than returning a sloppy point, so
+every reference is certificate backed.
+
+- Case2 (smooth loss, l1): FISTA locates the active set; the polish solves
+  the support stationarity system (a linear solve for the squared loss,
+  Newton for the logistic loss) and grows or trims the support.
+- Case3/Case4 (hinge): the package's own smoothing reduction is the warm-up,
+  run by `reductions._drive` over `apg_hood` -- adapt_smooth's halving
+  smoothing when psi is strongly convex, joint_adapt's halving smoothing
+  and regularization centred at the origin otherwise.  After every epoch
+  the margin/support polish is tried, and the first certified point is the
+  reference.
 
 All heavy lifting is dense numpy on desk-scale data.
 """
@@ -15,59 +23,40 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import losses
 from .errors import NumericalError
 from .objectives import Case, CompositeObjective
-from .solvers import reference_minimize
+from .reductions import HALVING, _drive
+from .regularizers import soft_threshold
+from .solvers import FixedIterations, apg_hood, reference_minimize
 
 _BASE_CACHE: dict[str, np.ndarray] = {}
 
 _KKT_TOL = 1e-9
+_SUPPORT_TOL = 1e-9  # |x_j| above this puts j on an l1 support
+_MARGIN_TOLS = (1e-6, 1e-5, 3e-7, 3e-5, 1e-4)  # hinge margin sets, in order
 
 
 def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
-    """Certified minimizer of F for any Case; cached in-process."""
+    """Certified minimizer of F for any Case; cached in-process (Case1 by
+    `reference_minimize` itself)."""
+    case = F.classify_case()
+    if case is Case.Case1:
+        return reference_minimize(F, tol)
     key = F.content_hash() + f":{tol!r}"
     hit = _BASE_CACHE.get(key)
     if hit is not None:
         return hit
-    case = F.classify_case()
-    if case is Case.Case1:
-        x = np.array(reference_minimize(F, tol))
-    elif case is Case.Case2:
-        x = _l1_smooth_reference(F)
-    else:
-        x = _hinge_reference(F)
+    x = _l1_smooth_reference(F) if case is Case.Case2 else _hinge_reference(F)
     x.setflags(write=False)
     _BASE_CACHE[key] = x
     return x
 
 
-# ---------------------------------------------------------------------------
-# shared dense views
-# ---------------------------------------------------------------------------
-
 def _dense_parts(F):
     A = F.data.dense()
     b = F.data.labels
     return A, b, A.shape[0], A.shape[1]
-
-
-def _soft(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _smooth_grad_vec(F, A, b, x):
-    """Gradient of the f part for natively smooth losses, dense math."""
-    z = A @ x
-    if F.loss == "squared":
-        return A.T @ (z - b) / F.n
-    # logistic
-    s = -b * z
-    sig = np.where(s >= 0, 1.0 / (1.0 + np.exp(-s)), 0.0)
-    neg = s < 0
-    e = np.exp(s[neg])
-    sig[neg] = e / (1.0 + e)
-    return A.T @ (-b * sig) / F.n
 
 
 # ---------------------------------------------------------------------------
@@ -85,77 +74,60 @@ def _l1_smooth_reference(F) -> np.ndarray:
     y = x.copy()
     tk = 1.0
     for _ in range(6000):
-        g = _smooth_grad_vec(F, A, b, y)
-        xn = _soft(y - g / L, w / L)
+        g = A.T @ losses.loss_deriv(F.loss, A @ y, b) / n
+        xn = soft_threshold(y - g / L, w / L)
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = xn + ((tk - 1.0) / tn) * (xn - x)
         x, tk = xn, tn
-    if F.loss == "squared":
-        return _polish_l1_squared(F, A, b, x)
-    return _polish_l1_logistic(F, A, b, x)
+    x = _polish_l1(F, A, b, x)
+    if F.loss == "logistic" and w == 0.0 and np.all(b * (A @ x) > 0.0):
+        raise NumericalError(
+            "logistic loss without l1 has no minimizer: the data are "
+            "linearly separable")
+    return x
 
 
-def _polish_l1_squared(F, A, b, x) -> np.ndarray:
+def _polish_l1(F, A, b, x) -> np.ndarray:
+    """Active-set polish: solve for x on the support read off x, check the
+    KKT conditions, then grow the support by the worst violator or drop
+    the coordinates that died, and repeat."""
     n, d = A.shape
     w = F.reg.l1
     for _ in range(12):
-        S = np.abs(x) > 1e-10
-        if not S.any():
-            g = A.T @ (-b) / n
-            if np.all(np.abs(g) <= w + 1e-12):
-                return np.zeros(d)
-            x = np.zeros(d)
-        else:
-            sgn = np.sign(x[S])
-            AS = A[:, S]
-            xs = np.linalg.solve(AS.T @ AS / n, AS.T @ b / n - w * sgn)
-            x = np.zeros(d)
-            x[S] = xs
-            g = A.T @ (A @ x - b) / n
-            signs_ok = np.all(np.sign(x[S]) == sgn)
-            on_ok = np.abs(g[S] + w * sgn).max() < 1e-11
-            off_ok = np.all(np.abs(g[~S]) <= w + 1e-12) if (~S).any() else True
-            if signs_ok and on_ok and off_ok:
-                return x
-        # grow the active set by the worst violator, or drop dead coordinates
-        g = _smooth_grad_vec(F, A, b, x)
+        S = np.abs(x) > _SUPPORT_TOL
+        sgn = np.sign(x[S])
+        xs = x[S]
+        x = np.zeros(d)
+        if S.any():
+            x[S] = _support_solve(F.loss, A[:, S], b, xs, w * sgn)
+        g = A.T @ losses.loss_deriv(F.loss, A @ x, b) / n
+        if (np.all(np.sign(x[S]) == sgn)
+                and np.all(np.abs(g[S] + w * sgn) < 1e-10)
+                and np.all(np.abs(g[~S]) <= w + 1e-12)):
+            return x
         viol = np.abs(g) - w
-        viol[np.abs(x) > 1e-10] = -np.inf
+        viol[np.abs(x) > _SUPPORT_TOL] = -np.inf
         j = int(np.argmax(viol))
         if viol[j] > 1e-12:
-            x[j] = -1e-12 * np.sign(g[j])
+            x[j] = -2.0 * _SUPPORT_TOL * np.sign(g[j])
         else:
-            x[np.abs(x) < 1e-10] = 0.0
-    raise NumericalError("l1 reference polish failed to certify (squared loss)")
+            x[np.abs(x) <= _SUPPORT_TOL] = 0.0
+    raise NumericalError(f"l1 reference polish failed to certify ({F.loss} loss)")
 
 
-def _polish_l1_logistic(F, A, b, x) -> np.ndarray:
-    n, d = A.shape
-    w = F.reg.l1
-    for _ in range(12):
-        S = np.abs(x) > 1e-9
-        if not S.any():
-            g = _smooth_grad_vec(F, A, b, np.zeros(d))
-            if np.all(np.abs(g) <= w + 1e-12):
-                return np.zeros(d)
-            j = int(np.argmax(np.abs(g) - w))
-            x[j] = -1e-9 * np.sign(g[j])
-            continue
-        sgn = np.sign(x[S])
-        AS = A[:, S]
-        xs = x[S].copy()
-        # Newton on the support: solve grad_S + w sgn = 0
+def _support_solve(loss, AS, b, xs, shift) -> np.ndarray:
+    """x_S with grad_S f + shift = 0: one linear solve for the squared
+    loss, Newton from xs for the logistic loss."""
+    n = AS.shape[0]
+    try:
+        if loss == "squared":
+            return np.linalg.solve(AS.T @ AS / n, AS.T @ b / n - shift)
         for _ in range(60):
             z = AS @ xs
-            s = -b * z
-            sig = np.empty_like(s)
-            pos = s >= 0
-            sig[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-            e = np.exp(s[~pos])
-            sig[~pos] = e / (1.0 + e)
-            gS = AS.T @ (-b * sig) / n + w * sgn
+            gS = AS.T @ losses.loss_deriv(loss, z, b) / n + shift
             if np.abs(gS).max() < 1e-13:
                 break
+            sig = losses._sigmoid(-b * z)
             h = sig * (1.0 - sig) * b * b
             H = (AS * h[:, None]).T @ AS / n
             try:
@@ -163,78 +135,50 @@ def _polish_l1_logistic(F, A, b, x) -> np.ndarray:
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(H, gS, rcond=None)[0]
             xs = xs - step
-        x = np.zeros(d)
-        x[S] = xs
-        g = _smooth_grad_vec(F, A, b, x)
-        signs_ok = np.all(np.sign(x[S]) == sgn)
-        on_ok = np.abs(g[S] + w * sgn).max() < 1e-10
-        off_ok = np.all(np.abs(g[~S]) <= w + 1e-12) if (~S).any() else True
-        if signs_ok and on_ok and off_ok:
-            return x
-        viol = np.abs(g) - w
-        viol[np.abs(x) > 1e-9] = -np.inf
-        j = int(np.argmax(viol))
-        if viol[j] > 1e-12:
-            x[j] = -1e-9 * np.sign(g[j])
-        else:
-            x[np.abs(x) < 1e-9] = 0.0
-    raise NumericalError("l1 reference polish failed to certify (logistic loss)")
+        return xs
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"l1 polish system singular: {err}")
 
 
 # ---------------------------------------------------------------------------
-# Case3/Case4: hinge loss (margin/support polish after a smoothing homotopy)
+# Case3/Case4: hinge loss (margin/support polish after a smoothing reduction)
 # ---------------------------------------------------------------------------
 
 def _hinge_reference(F) -> np.ndarray:
     if F.loss != "hinge":
         raise NumericalError(
             f"no reference method for {F.classify_case().name} with loss {F.loss!r}")
-    x = _hinge_homotopy(F)
-    last_err = None
-    for margin_tol in (1e-6, 1e-5, 3e-7, 3e-5, 1e-4):
-        try:
-            return _polish_hinge(F, x, margin_tol)
-        except NumericalError as err:
-            last_err = err
-    raise NumericalError(f"hinge reference polish failed: {last_err}")
+    origin = np.zeros(F.dim)
+    if F.classify_case() is Case.Case3:
+        # adapt_smooth at lam0 = 1/2
+        policy = FixedIterations(1200)
+        schedule = [(0.0, 0.5 / HALVING ** t) for t in range(30)]
+        transform = lambda sigma_t, lam_t: F.smooth(lam_t)
+    else:
+        # joint_adapt at sigma0 = lam0 = 1/4, centred at the origin
+        policy = FixedIterations(2500)
+        schedule = [(0.25 / HALVING ** t,) * 2 for t in range(34)]
+        transform = lambda sigma_t, lam_t: (
+            F.smooth(lam_t).regularize(sigma_t, origin))
+    found = []
+    last = "no epoch ran"
 
+    def certified(report) -> bool:
+        nonlocal last
+        for margin_tol in _MARGIN_TOLS:
+            try:
+                found.append(_polish_hinge(F, report.x_out, margin_tol))
+                return True
+            except NumericalError as err:
+                # the message only: a kept error's traceback holds the
+                # polish's arrays alive
+                last = str(err)
+        return False
 
-def _hinge_homotopy(F) -> np.ndarray:
-    """Warmup by jointly shrinking a smoothing level (and an added quadratic
-    when psi has no curvature), APG on each stage, warm-started."""
-    A, b, n, d = _dense_parts(F)
-    sq = F.data.row_sq_norms()
-    Lmax = float(sq.max()) if len(sq) else 1.0
-    reg = F.reg
-    boost = reg.strong_convexity <= 0.0
-    lam = 0.25 if boost else 0.5
-    sig_h = 0.25 if boost else 0.0
-    rounds = 34 if boost else 30
-    inner = 2500 if boost else 1200
-    x = np.zeros(d)
-    for _ in range(rounds):
-        sigma = reg.strong_convexity + sig_h
-        L = Lmax / lam
-        eta = 1.0 / L
-        mfac = (np.sqrt(L) - np.sqrt(sigma)) / (np.sqrt(L) + np.sqrt(sigma))
-        xv = x.copy()
-        y = x.copy()
-        for _ in range(inner):
-            z = A @ y
-            gz = b * np.clip((b * z - 1.0) / lam, -1.0, 0.0)
-            g = A.T @ gz / n
-            step = y - eta * g
-            # prox of psi plus the boost quadratic centered at the origin
-            u = step
-            if reg.shift_weight > 0.0:
-                u = u + eta * reg.shift_weight * reg.shift_center
-            xn = _soft(u, eta * reg.l1) / (1.0 + eta * (reg.strong_convexity + sig_h))
-            y = xn + mfac * (xn - xv)
-            xv = xn
-        x = xv
-        lam /= 2.0
-        sig_h /= 2.0
-    return x
+    _drive(F, apg_hood, origin, policy, schedule, transform, stalled=certified)
+    if not found:
+        raise NumericalError(f"hinge reference polish failed: {last}")
+    return found[0]
 
 
 def _polish_hinge(F, x_warm, margin_tol) -> np.ndarray:

@@ -14,6 +14,7 @@ from adaptreduce import (ConfigError, ScalarLoss, brute_force_conjugate,
                          loss_conjugate, loss_deriv, loss_lipschitz,
                          loss_smoothness, loss_value, smoothed_conjugate,
                          smoothed_deriv, smoothed_value)
+from adaptreduce.losses import _smoothed_value_and_deriv
 
 KINDS = ("squared", "logistic", "hinge")
 
@@ -211,6 +212,25 @@ def test_smoothed_deriv_hand_anchor():
     assert smoothed_deriv("hinge", 0.8, 1.0, 0.5) == pytest.approx(-0.4, abs=1e-12)
     assert smoothed_deriv("hinge", 2.0, 1.0, 0.5) == 0.0
     assert smoothed_deriv("hinge", -5.0, 1.0, 0.5) == -1.0
+
+
+def test_smoothed_deriv_is_the_value_and_deriv_derivative():
+    # smoothed_deriv skips the value; its floats must not move
+    z = np.linspace(-3.0, 3.0, 61)
+    b = np.resize([1.0, -1.0, 0.0, 2.5, -0.3], z.shape)
+    t = b * z
+    for lam in (0.05, 0.5, 2.0):
+        mu = lam * b * b  # z spans all three hinge regions
+        assert ((t >= 1.0) & (b != 0.0)).any()
+        assert ((t <= 1.0 - mu) & (b != 0.0)).any()
+        assert ((t > 1.0 - mu) & (t < 1.0)).any()
+    for kind in KINDS:
+        for lam in (0.05, 0.5, 2.0):
+            want = _smoothed_value_and_deriv(kind, z, b, lam)[1]
+            assert np.array_equal(smoothed_deriv(kind, z, b, lam), want)
+            for zi, bi in zip(z, b):
+                want = _smoothed_value_and_deriv(kind, zi, bi, lam)[1]
+                assert smoothed_deriv(kind, zi, bi, lam).tobytes() == want.tobytes()
 
 
 def test_smoothed_gradient_is_lipschitz_with_inverse_lambda():

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from adaptreduce import (CompositeObjective, Dataset, NumericalError,
-                         Regularizer, base_reference, quadratic_reference)
+                         Regularizer, base_reference, gen_classification,
+                         quadratic_reference, reference_minimize,
+                         write_dataset)
+from adaptreduce import references
+from adaptreduce.cli import main
 
 
 def dense_ds(A, b):
@@ -162,3 +166,71 @@ def test_base_reference_cache_identity():
     # equal content under a fresh but identical objective
     F2 = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l1=0.05))
     assert base_reference(F2) is first
+
+
+def test_case1_reference_is_the_reference_minimize_array():
+    rng = np.random.default_rng(97)
+    A = rng.normal(size=(15, 3))
+    b = rng.normal(size=15)
+    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=0.2))
+    assert base_reference(F) is reference_minimize(F)
+
+
+def test_hinge_warmup_runs_apg_hood_until_the_polish_certifies(monkeypatch):
+    # the golden svm objective: the polish certifies before the schedule's
+    # 30th epoch, and each epoch is one apg_hood call
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l2=0.05))
+    calls = []
+    real = references.apg_hood
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(references, "apg_hood", counted)
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    x = base_reference(F)
+    assert 1 <= len(calls) <= 29
+    assert F.full_value(x) == pytest.approx(0.15515605176761818, abs=1e-12)
+
+
+def test_separable_logistic_has_no_reference(tmp_path, capsys):
+    # every label is classified with a positive margin at the "minimizer",
+    # whose norm only grows with the accuracy asked for
+    F = CompositeObjective(gen_classification(62, 40, 8), "logistic",
+                           Regularizer())
+    with pytest.raises(NumericalError, match="linearly separable"):
+        base_reference(F)
+    path = str(tmp_path / "sep.txt")
+    write_dataset(gen_classification(62, 40, 8), path)
+    rc = main(["reference", "--data-path", path, "--task", "logistic",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert "linearly separable" in capsys.readouterr().err
+
+
+def test_overlapping_logistic_reference_certifies():
+    F = CompositeObjective(gen_classification(63, 40, 8), "logistic",
+                           Regularizer())
+    x = base_reference(F)
+    assert F.full_value(x) == pytest.approx(0.164054, abs=1e-6)
+    assert np.linalg.norm(F.full_gradient(x)) <= 1e-10
+
+
+def test_l1_polish_grows_the_support_from_zero():
+    # started on an empty support, the polish adds one violator per round
+    # until the KKT conditions hold, and lands on the reference
+    rng = np.random.default_rng(91)
+    A = rng.normal(size=(40, 8))
+    F = CompositeObjective(dense_ds(A, rng.normal(size=40)), "squared",
+                           Regularizer(l1=0.05))
+    x = references._polish_l1(F, A, F.data.labels, np.zeros(8))
+    assert np.count_nonzero(x) >= 2
+    assert np.array_equal(x, base_reference(F))
+    rng = np.random.default_rng(92)
+    A = rng.normal(size=(35, 6)) / np.sqrt(6)
+    F = CompositeObjective(dense_ds(A, labels(rng, 35)), "logistic",
+                           Regularizer(l1=0.02))
+    x = references._polish_l1(F, A, F.data.labels, np.zeros(6))
+    np.testing.assert_allclose(x, base_reference(F), atol=1e-12)
