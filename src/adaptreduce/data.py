@@ -72,9 +72,8 @@ class Dataset:
         """Materialized (n, dim) matrix; cached. Fine at desk scale."""
         if self._dense_cache is None:
             A = np.zeros((self.n, self.dim))
-            for i in range(self.n):
-                idx, val = self.row(i)
-                A[i, idx] = val
+            A[np.repeat(np.arange(self.n), np.diff(self.indptr)),
+              self.indices] = self.values
             self._dense_cache = A
         return self._dense_cache
 

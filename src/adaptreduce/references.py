@@ -9,7 +9,10 @@ every reference is certificate backed.
 
 - Case2 (smooth loss, l1): FISTA locates the active set; the polish solves
   the support stationarity system (a linear solve for the squared loss,
-  Newton for the logistic loss) and grows or trims the support.
+  Newton for the logistic loss) and grows or trims the support.  FISTA runs
+  in blocks up to 6000 iterations; the polish is tried at each block end
+  whose sign pattern equals the previous one, and the first certified
+  point is the reference.  Smoothed non-Case1 objectives are refused.
 - Case3/Case4 (hinge): the package's own smoothing reduction is the warm-up,
   run by `reductions._drive` over `apg_hood` -- adapt_smooth's halving
   smoothing when psi is strongly convex, joint_adapt's halving smoothing
@@ -35,6 +38,8 @@ _BASE_CACHE: dict[str, np.ndarray] = {}
 _KKT_TOL = 1e-9
 _SUPPORT_TOL = 1e-9  # |x_j| above this puts j on an l1 support
 _MARGIN_TOLS = (1e-6, 1e-5, 3e-7, 3e-5, 1e-4)  # hinge margin sets, in order
+# Case2 FISTA iteration counts after which the polish may be tried
+_FISTA_CHECKPOINTS = (25, 50, 100, 200, 400, 800, 1600, 3200, 6000)
 
 
 def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
@@ -43,6 +48,10 @@ def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
     case = F.classify_case()
     if case is Case.Case1:
         return reference_minimize(F, tol)
+    if F.smoothing is not None:
+        raise NumericalError(
+            f"no reference method for a smoothed {case.name} objective "
+            f"({F.loss} loss, smoothing {F.smoothing!r})")
     key = F.content_hash() + f":{tol!r}"
     hit = _BASE_CACHE.get(key)
     if hit is not None:
@@ -69,17 +78,32 @@ def _l1_smooth_reference(F) -> np.ndarray:
     L = F.smoothness
     if L <= 0.0:
         return np.zeros(d)
-    # FISTA warmup to localize the support
+    # FISTA warmup to localize the support, polished at each checkpoint
+    # whose sign pattern held since the previous one; the last polish raises
     x = np.zeros(d)
     y = x.copy()
     tk = 1.0
-    for _ in range(6000):
-        g = A.T @ losses.loss_deriv(F.loss, A @ y, b) / n
-        xn = soft_threshold(y - g / L, w / L)
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        y = xn + ((tk - 1.0) / tn) * (xn - x)
-        x, tk = xn, tn
-    x = _polish_l1(F, A, b, x)
+    done = 0
+    held = np.zeros(d)
+    for stop in _FISTA_CHECKPOINTS:
+        for _ in range(stop - done):
+            g = A.T @ losses.loss_deriv(F.loss, A @ y, b) / n
+            xn = soft_threshold(y - g / L, w / L)
+            tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+            y = xn + ((tk - 1.0) / tn) * (xn - x)
+            x, tk = xn, tn
+        done = stop
+        if stop == _FISTA_CHECKPOINTS[-1]:
+            x = _polish_l1(F, A, b, x)
+            break
+        pattern = np.sign(x) * (np.abs(x) > _SUPPORT_TOL)
+        if np.array_equal(pattern, held):
+            try:
+                x = _polish_l1(F, A, b, x)
+                break
+            except NumericalError:
+                pass
+        held = pattern
     if F.loss == "logistic" and w == 0.0 and np.all(b * (A @ x) > 0.0):
         raise NumericalError(
             "logistic loss without l1 has no minimizer: the data are "

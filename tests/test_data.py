@@ -151,6 +151,26 @@ def test_row_sq_norms_match_dense():
     assert ds.row_sq_norms() is ds.row_sq_norms()
 
 
+def test_dense_matches_row_by_row_fill():
+    # ragged rows, empty ones in the middle and at the end
+    rng = np.random.default_rng(25)
+    ds = random_sparse(rng, 12, 7, density=0.35)
+    keep = np.ones(ds.n, dtype=bool)
+    keep[[0, 5, 6, 10, 11]] = False
+    lens = np.where(keep, np.diff(ds.indptr), 0)
+    rows = np.repeat(np.arange(ds.n), np.diff(ds.indptr))
+    mask = keep[rows]
+    ds = Dataset(np.concatenate(([0], np.cumsum(lens))), ds.indices[mask],
+                 ds.values[mask], ds.labels, dim=ds.dim)
+    assert ds.indptr[-1] == ds.indptr[-3]
+    want = np.zeros((ds.n, ds.dim))
+    for i in range(ds.n):
+        idx, val = ds.row(i)
+        want[i, idx] = val
+    assert np.array_equal(ds.dense(), want)
+    assert ds.dense() is ds.dense()
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

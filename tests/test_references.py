@@ -10,8 +10,8 @@ import pytest
 
 from adaptreduce import (CompositeObjective, Dataset, NumericalError,
                          Regularizer, base_reference, gen_classification,
-                         quadratic_reference, reference_minimize,
-                         write_dataset)
+                         gen_regression, quadratic_reference,
+                         reference_minimize, write_dataset)
 from adaptreduce import references
 from adaptreduce.cli import main
 
@@ -234,3 +234,99 @@ def test_l1_polish_grows_the_support_from_zero():
                            Regularizer(l1=0.02))
     x = references._polish_l1(F, A, F.data.labels, np.zeros(6))
     np.testing.assert_allclose(x, base_reference(F), atol=1e-12)
+
+
+def count_calls(monkeypatch, name):
+    # wrap references.<name> with a call counter; start from an empty cache
+    calls = []
+    real = getattr(references, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(references, name, counted)
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    return calls
+
+
+def assert_l1_kkt(F, x):
+    # the l1 optimality conditions, recomputed from the data
+    A, y, w = F.data.dense(), F.data.labels, F.reg.l1
+    n = A.shape[0]
+    if F.loss == "squared":
+        g = A.T @ (A @ x - y) / n
+    else:
+        g = A.T @ (-y / (1.0 + np.exp(y * (A @ x)))) / n
+    S = np.abs(x) > 1e-10
+    np.testing.assert_allclose(g[S] + w * np.sign(x[S]), 0.0, atol=1e-8)
+    assert np.all(np.abs(g[~S]) <= w + 1e-9)
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_case2_warmup_stops_at_a_certified_checkpoint(monkeypatch, loss):
+    if loss == "squared":
+        F = CompositeObjective(gen_regression(61, 40, 8, sparsity=4),
+                               "squared", Regularizer(l1=0.05))
+    else:
+        F = CompositeObjective(gen_classification(63, 40, 8), "logistic",
+                               Regularizer())
+    # soft_threshold runs once per FISTA step and never in the polish
+    calls = count_calls(monkeypatch, "soft_threshold")
+    x = base_reference(F)
+    assert 0 < len(calls) < 6000
+    assert len(calls) in references._FISTA_CHECKPOINTS
+    if loss == "logistic":
+        assert F.full_value(x) == pytest.approx(0.164054, abs=1e-6)
+    else:
+        assert_l1_kkt(F, x)
+
+
+def test_case2_warmup_runs_in_full_when_no_polish_certifies(monkeypatch):
+    # every attempt fails: all 6000 steps run, and the last polish's own
+    # error reaches the caller
+    F = CompositeObjective(gen_regression(61, 40, 8, sparsity=4), "squared",
+                           Regularizer(l1=0.05))
+    calls = count_calls(monkeypatch, "soft_threshold")
+    err = NumericalError("polish refused")
+    attempts = []
+
+    def refuse(*args):
+        attempts.append(1)
+        raise err
+
+    monkeypatch.setattr(references, "_polish_l1", refuse)
+    with pytest.raises(NumericalError) as info:
+        base_reference(F)
+    assert info.value is err
+    assert len(calls) == 6000
+    assert 1 <= len(attempts) <= len(references._FISTA_CHECKPOINTS)
+
+
+@pytest.mark.parametrize("w", [1e-3, 1e-1])
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_readme_scale_case2_references_certify(monkeypatch, loss, w):
+    if loss == "squared":
+        data = gen_regression(7, 500, 100, sparsity=10)
+    else:
+        data = gen_classification(7, 500, 100)
+    F = CompositeObjective(data, loss, Regularizer(l1=w))
+    # the support gate lets through only the polish that certifies
+    attempts = count_calls(monkeypatch, "_polish_l1")
+    assert_l1_kkt(F, base_reference(F))
+    assert len(attempts) == 1
+
+
+@pytest.mark.parametrize("F", [
+    CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                       Regularizer(l1=0.05), smoothing=0.1),
+    CompositeObjective(gen_classification(7, 500, 100), "logistic",
+                       Regularizer(l1=1e-2), smoothing=0.5),
+], ids=["hinge", "logistic"])
+def test_smoothed_case2_has_no_reference(monkeypatch, F):
+    # refused before any warm-up step, naming case, loss and smoothing
+    calls = count_calls(monkeypatch, "soft_threshold")
+    with pytest.raises(NumericalError,
+                       match=rf"smoothed Case2 .*{F.loss} loss.*{F.smoothing}"):
+        base_reference(F)
+    assert calls == []
