@@ -212,6 +212,29 @@ def smoothed_deriv(kind, z, b, lam):
     return _smoothed_value_and_deriv(kind, z, b, lam, value=False)[1]
 
 
+def scalar_deriv(kind, lam=None):
+    """The function (z, b) -> float equal bit for bit to smoothed_deriv(kind,
+    z, b, lam), or to loss_deriv(kind, z, b) when lam is None.
+
+    Squared and hinge use closed forms of + - * / min max only, which are
+    exactly rounded; logistic needs exp and log, where math and numpy
+    differ in the last bit, so it calls the vector functions."""
+    _check_kind(kind)
+    if lam is not None and lam <= 0.0:
+        raise ConfigError("smoothing parameter must be positive")
+    if kind == "squared":
+        scale = 1.0 if lam is None else 1.0 + lam
+        return lambda z, b: (z - b) / scale
+    if kind == "hinge" and lam is None:
+        return lambda z, b: -b if b * z <= 1.0 else 0.0
+    if kind == "hinge":
+        return lambda z, b: (0.0 if b == 0.0 else
+                             b * min(max((b * z - 1.0) / (lam * b * b), -1.0), 0.0))
+    if lam is None:
+        return lambda z, b: float(loss_deriv(kind, z, b))
+    return lambda z, b: float(smoothed_deriv(kind, z, b, lam))
+
+
 def smoothed_conjugate(kind, beta, b, lam):
     """Conjugate of the smoothed loss: f*(beta) + lam/2 beta^2."""
     beta = np.asarray(beta, dtype=float)

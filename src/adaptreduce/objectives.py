@@ -143,17 +143,17 @@ class CompositeObjective:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
         x = np.asarray(x, dtype=float)
         z = data_mod.row_dot(self.data, i, x)
-        d = self._deriv_scalar(z, i)
+        d = self.scalar_deriv(z, float(self.data.labels[i]))
         out = np.zeros(self.dim)
         idx, val = self.data.row(i)
         out[idx] = d * val
         return out
 
-    def _deriv_scalar(self, z: float, i: int) -> float:
-        b = self.data.labels[i]
-        if self.smoothing is not None:
-            return float(losses.smoothed_deriv(self.loss, z, b, self.smoothing))
-        return float(losses.loss_deriv(self.loss, z, b))
+    @property
+    def scalar_deriv(self):
+        """(z, b) -> f'(z) for one margin z with label b, as a float: the
+        value loss_derivs gives that margin (the subgradient at a kink)."""
+        return losses.scalar_deriv(self.loss, self.smoothing)
 
     def grad_norm(self, x, include_quadratic_reg: bool = False) -> float:
         g = self.full_gradient(x, include_quadratic_reg=include_quadratic_reg)

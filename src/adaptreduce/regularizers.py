@@ -18,8 +18,11 @@ from .errors import ConfigError
 
 
 def soft_threshold(v, tau):
-    """Componentwise sign(v) * max(|v| - tau, 0)."""
+    """Componentwise sign(v) * max(|v| - tau, 0); at tau = 0 that is
+    v + 0.0 bit for bit, signed zeros included (sign(-0.0) is 0.0)."""
     v = np.asarray(v, dtype=float)
+    if tau == 0.0:
+        return v + 0.0
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
@@ -77,25 +80,37 @@ class Regularizer:
 
     def prox(self, v, eta: float):
         """argmin_x eta*psi(x) + 1/2 |x - v|^2."""
+        return self.prox_map(eta)(v)
+
+    def prox_map(self, eta: float):
+        """The function v -> prox(v, eta), with the step's constants
+        eta*sw*c, eta*l1 and 1 + eta*sigma computed once."""
         if eta < 0.0:
             raise ConfigError("prox step size must be nonnegative")
-        v = np.asarray(v, dtype=float)
         if eta == 0.0:
-            return v.copy()
-        u = v
-        if self.shift_weight > 0.0:
-            u = v + eta * self.shift_weight * self.shift_center
-        return soft_threshold(u, eta * self.l1) / (1.0 + eta * self.strong_convexity)
+            return lambda v: np.array(v, dtype=float)
+        shift = (eta * self.shift_weight * self.shift_center
+                 if self.shift_weight > 0.0 else None)
+        tau = eta * self.l1
+        scale = 1.0 + eta * self.strong_convexity
 
-    def conjugate_argmax(self, u):
-        """The maximizer of <u, x> - psi(x); requires strong convexity."""
+        def prox(v):
+            u = np.asarray(v, dtype=float)
+            u = u if shift is None else u + shift
+            return soft_threshold(u, tau) / scale
+        return prox
+
+    def conjugate_argmax(self, u, idx=None):
+        """The maximizer of <u, x> - psi(x); requires strong convexity.
+        psi is separable: given index array `idx`, u and the result hold
+        only those coordinates."""
         sigma = self.strong_convexity
         if sigma <= 0.0:
             raise ConfigError("conjugate maximizer needs strong convexity")
-        u = np.asarray(u, dtype=float)
-        w = u
+        w = np.asarray(u, dtype=float)
         if self.shift_weight > 0.0:
-            w = u + self.shift_weight * self.shift_center
+            c = self.shift_center if idx is None else self.shift_center[idx]
+            w = w + self.shift_weight * c
         return soft_threshold(w / sigma, self.l1 / sigma)
 
     def conjugate_value(self, u) -> float:

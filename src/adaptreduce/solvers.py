@@ -19,6 +19,12 @@ over the data; one stochastic step costs 1/n.  A gradient-norm statistic
 evaluated at a point whose full gradient was just computed (SVRG snapshots,
 prox-GD iterates) is free.  Counts are kept as integers (full passes and
 sample steps) so totals are exact.
+
+The SVRG and SDCA step loops run once per sample in Python, so they work on
+lists and row views made once per call, yet every float stays the one the
+vectorized functions give: a scalar closed form stands in for a numpy call
+only where it needs nothing but + - * / min max, which are exactly rounded;
+exp and log stay numpy calls, because math's differ in the last bit.
 """
 from __future__ import annotations
 
@@ -29,7 +35,6 @@ from typing import Union
 import numpy as np
 
 from . import data as data_mod
-from . import losses
 from .errors import ConfigError, NumericalError
 from .objectives import Case, CompositeObjective
 
@@ -382,6 +387,10 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     elif isinstance(run.policy, PracticalGradThird):
         m = run.policy.interval(n)
 
+    rows = [F.data.row(i) for i in range(n)]
+    labels = F.data.labels.tolist()
+    deriv = F.scalar_deriv
+    prox = F.reg.prox_map(eta)
     x = np.array(x0, dtype=float)
     steps = 0
     since_gap = 0
@@ -409,15 +418,13 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         todo = min(todo, run.sample_room())
         if todo <= 0:
             break
-        idx = rng.integers(0, n, size=m)[:todo]
-        for k in range(todo):
-            i = int(idx[k])
-            zi = data_mod.row_dot(F.data, i, x)
-            di = F._deriv_scalar(zi, i)
-            ridx, rval = F.data.row(i)
+        d_list = d_tilde.tolist()
+        for i in rng.integers(0, n, size=m)[:todo].tolist():
+            ridx, rval = rows[i]
+            di = deriv(float(rval @ x[ridx]), labels[i])
             v = mu.copy()
-            v[ridx] += (di - d_tilde[i]) * rval
-            x = F.prox(x - eta * v, eta)
+            v[ridx] += (di - d_list[i]) * rval
+            x = prox(x - eta * v)
             steps += 1
             run.samples += 1
             since_gap += 1
@@ -451,9 +458,9 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
     """
     if kind == "squared":
         return (z - b + q * alpha_i) / (1.0 + lam + q)
-    lo, hi = losses.conjugate_domain(kind, b)
-    if lo == hi:
-        return lo
+    if b == 0.0:
+        return 0.0  # the conjugate's domain is the single point 0
+    lo, hi = min(-b, 0.0), max(-b, 0.0)
     if kind == "hinge":
         if lam + q <= 0.0:
             return -b  # zero row, unsmoothed: dual is linear, pick its argmax
@@ -464,6 +471,8 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
     s_lo, s_hi = lo, hi
     for _ in range(64):
         s = 0.5 * (s_lo + s_hi)
+        if s == s_lo or s == s_hi:
+            break  # collapsed: later halvings would leave the bracket as is
         u = s / b
         h = (np.log1p(u) - np.log(-u)) / b + lam * s + q * (s - alpha_i) - z
         if h < 0.0:
@@ -480,9 +489,9 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
 
     Dual variables start at the loss derivatives of x0's margins (one pass);
     the primal iterate is psi's conjugate maximizer at v = -(1/n) sum_i
-    alpha_i a_i, maintained incrementally.  TheoryBudget allots
-    ceil(n + L/sigma) steps per the standard SDCA epoch count — without a
-    certification claim (SDCA does not satisfy HOOD in theory).
+    alpha_i a_i, both updated on the sampled row's support only.
+    TheoryBudget allots ceil(n + L/sigma) steps per the standard SDCA epoch
+    count — without a certification claim (SDCA does not satisfy HOOD).
     """
     _require_case1(F, "sdca_hood")
     if F.n < 1:
@@ -511,9 +520,12 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     z0 = F.margins(x0)
     alpha = np.array(F.loss_derivs(z0, allow_subgradient=True), dtype=float)
     run.full += 1
-    sq = F.data.row_sq_norms()
     v = -data_mod.rmatvec(F.data, alpha) / n
     x = F.reg.conjugate_argmax(v)
+    alpha = alpha.tolist()
+    rows = [F.data.row(i) for i in range(n)]
+    labels = F.data.labels.tolist()
+    q = (F.data.row_sq_norms() / (sigma * n)).tolist()
 
     steps = 0
     since_check = 0
@@ -528,19 +540,17 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
         todo = min(todo, run.sample_room())
         if todo <= 0:
             break
-        idx = rng.integers(0, n, size=todo)
-        for k in range(todo):
-            i = int(idx[k])
-            zi = data_mod.row_dot(F.data, i, x)
-            q = sq[i] / (sigma * n)
-            s = _sdca_coordinate(F.loss, float(F.data.labels[i]), lam,
-                                 float(alpha[i]), zi, q)
+        for i in rng.integers(0, n, size=todo).tolist():
+            ridx, rval = rows[i]
+            s = _sdca_coordinate(F.loss, labels[i], lam, alpha[i],
+                                 float(rval @ x[ridx]), q[i])
             delta = s - alpha[i]
             if delta != 0.0:
                 alpha[i] = s
-                ridx, rval = F.data.row(i)
-                v[ridx] -= (delta / n) * rval
-                x = F.reg.conjugate_argmax(v)
+                vi = v[ridx] - (delta / n) * rval
+                v[ridx] = vi
+                # psi is separable and v moved on row i's support only
+                x[ridx] = F.reg.conjugate_argmax(vi, ridx)
             steps += 1
             run.samples += 1
             since_check += 1

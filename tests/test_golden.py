@@ -7,14 +7,30 @@ that is meant to alter a trace updates that hash alone and says why.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
-from adaptreduce import (ExperimentConfig, gen_classification, gen_regression,
-                         run_experiment, write_dataset)
+from adaptreduce import (Dataset, ExperimentConfig, gen_classification,
+                         gen_regression, run_experiment, write_dataset)
+
+
+def sparsify(data, seed, keep=0.3):
+    """`data` with each stored entry kept with probability `keep`."""
+    kept = np.random.default_rng(seed).random(len(data.values)) < keep
+    rows = np.repeat(np.arange(data.n), np.diff(data.indptr))[kept]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=data.n))))
+    return Dataset(indptr, data.indices[kept], data.values[kept], data.labels,
+                   data.dim)
+
 
 DATA = {
     "regression": lambda: gen_regression(61, 40, 8, sparsity=4),
     "classification": lambda: gen_classification(62, 40, 8),
+    # about 6 of 20 entries per row, so the steps touch a row's support only
+    "sparse-regression": lambda: sparsify(
+        gen_regression(63, 60, 20, sparsity=5), 65),
+    "sparse-classification": lambda: sparsify(
+        gen_classification(64, 60, 20, flip_fraction=0.2), 66),
 }
 
 # name -> (dataset, config fields, SHA-256 of the written CSV)
@@ -59,6 +75,27 @@ GOLDEN = {
         "regression", dict(task="ridge", l2_weight=0.1, method="direct",
                            oracle="sdca", seed=9),
         "1bcb13254b246a83adce2ab0921fdcfa41f50962fb0e1a59608d1861d2ac87f2"),
+    # sparse rows: the SDCA primal update and the SVRG step touch a row's
+    # support; adaptreg adds a shifted quadratic to the l1 term
+    "sparse-lasso-adaptreg-sdca": (
+        "sparse-regression", dict(task="lasso", l1_weight=0.02,
+                                  method="adaptreg", oracle="sdca", T=6,
+                                  seed=10),
+        "bef395fa8b222bf6b77a5e25b1b2dff99972add70089acb7cc77ab81a6a9ea72"),
+    "sparse-lasso-adaptreg-svrg": (
+        "sparse-regression", dict(task="lasso", l1_weight=0.02,
+                                  method="adaptreg", oracle="svrg", T=6,
+                                  seed=12),
+        "c395825dc6c541f55d1c36cea971b030365ed659d0190a117d0e598b0546c25d"),
+    "sparse-logistic-adaptreg-sdca": (
+        "sparse-classification", dict(task="logistic", method="adaptreg",
+                                      oracle="sdca", T=4, seed=13),
+        "b9810e2ce79309fa131f659b3dd1454ada29e2ed57c43dd853a5c4670881fbc4"),
+    "sparse-svm-adaptsmooth-svrg": (
+        "sparse-classification", dict(task="svm", l2_weight=0.05,
+                                      method="adaptsmooth", oracle="svrg",
+                                      T=5, seed=11),
+        "8b4f4423bc49324c47af41532bafcac642027e02dbb731a0f4920214e887f452"),
 }
 
 

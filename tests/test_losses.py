@@ -14,7 +14,7 @@ from adaptreduce import (ConfigError, ScalarLoss, brute_force_conjugate,
                          loss_conjugate, loss_deriv, loss_lipschitz,
                          loss_smoothness, loss_value, smoothed_conjugate,
                          smoothed_deriv, smoothed_value)
-from adaptreduce.losses import _smoothed_value_and_deriv
+from adaptreduce.losses import _smoothed_value_and_deriv, scalar_deriv
 
 KINDS = ("squared", "logistic", "hinge")
 
@@ -231,6 +231,27 @@ def test_smoothed_deriv_is_the_value_and_deriv_derivative():
             for zi, bi in zip(z, b):
                 want = _smoothed_value_and_deriv(kind, zi, bi, lam)[1]
                 assert smoothed_deriv(kind, zi, bi, lam).tobytes() == want.tobytes()
+
+
+def test_scalar_deriv_is_bit_equal_to_the_vector_functions():
+    # the SVRG step and stochastic_gradient call scalar_deriv: its floats
+    # must be the vector functions' floats, kinks and signed zeros included
+    for kind in KINDS:
+        for lam in (None, 0.05, 0.5, 2.0):
+            deriv = scalar_deriv(kind, lam)
+            # at b = 1.7 the order of lam * b * b shows in the last bit
+            for b in (1.0, -1.0, 0.0, 2.5, -0.3, 1.7):
+                z = [0.0, -0.0, 1e300, -1e300, *np.linspace(-3.0, 3.0, 61)]
+                mu = 0.0 if lam is None else lam * b * b
+                for t in ((1.0, 1.0 - mu) if b != 0.0 else ()):
+                    z += [t / b, np.nextafter(t / b, np.inf),
+                          np.nextafter(t / b, -np.inf)]
+                z = np.array(z)
+                want = (loss_deriv(kind, z, b) if lam is None
+                        else smoothed_deriv(kind, z, b, lam))
+                got = [deriv(zi, b) for zi in z.tolist()]
+                assert all(type(g) is float for g in got)
+                assert np.array(got).tobytes() == want.tobytes(), (kind, lam, b)
 
 
 def test_smoothed_gradient_is_lipschitz_with_inverse_lambda():

@@ -24,6 +24,12 @@ def test_soft_threshold_hand_anchors():
     np.testing.assert_allclose(soft_threshold(v, 0.0), v)
 
 
+def test_soft_threshold_at_zero_keeps_the_general_formulas_bits():
+    v = np.array([-0.0, 0.0, -2.5, 1e-310, -np.inf, 3.0])
+    want = np.sign(v) * np.maximum(np.abs(v) - 0.0, 0.0)
+    assert soft_threshold(v, 0.0).tobytes() == want.tobytes()
+
+
 def test_value_hand_anchor():
     reg = Regularizer(l1=2.0, l2=4.0, shift_weight=1.0,
                       shift_center=np.array([1.0, 0.0]), const=0.25)
@@ -135,6 +141,18 @@ def test_conjugate_argmax_attains_the_supremum():
         for _ in range(20):
             pert = x_star + rng.normal(size=5) * 10.0 ** rng.uniform(-6, -1)
             assert float(u @ pert) - reg.value(pert) <= val + 1e-12
+
+
+def test_conjugate_argmax_on_some_coordinates_is_the_full_one_there():
+    # SDCA updates the primal iterate on one row's support at a time
+    rng = np.random.default_rng(14)
+    idx = np.array([4, 0, 2])
+    for with_l1 in (True, False):
+        for with_shift in (True, False):
+            reg = random_reg(rng, with_l1=with_l1, with_shift=with_shift)
+            u = rng.normal(size=5)
+            assert (reg.conjugate_argmax(u[idx], idx).tobytes()
+                    == reg.conjugate_argmax(u)[idx].tobytes())
 
 
 def test_conjugate_value_matches_grid():

@@ -1,6 +1,8 @@
 """Inner solvers: certified iteration budgets, the factor-4 decrease contract,
 termination policies, and exact pass accounting."""
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          FixedIterations, PracticalGapQuarter,
                          PracticalGradThird, Regularizer, TheoryBudget,
-                         apg_hood, exact_oracle, prox_gd_hood,
+                         apg_hood, exact_oracle, gen_classification,
+                         prox_gd_hood,
                          quadratic_reference, reference_minimize, sdca_hood,
                          svrg_hood)
 
@@ -107,6 +110,19 @@ def test_sdca_improves_objective():
     r = sdca_hood(F, x0, TheoryBudget(), seed=3)
     assert F.full_value(r.x_out) < F.full_value(x0)
     assert r.final_stat >= 0.0  # duality gap statistic
+
+
+def test_logistic_sdca_bisection_stops_at_a_collapsed_bracket():
+    # the bisection used to go on halving a bracket collapsed onto a domain
+    # end, evaluating log1p(-1) there; stopping at the collapse warns no more
+    # and keeps every float (the digest is the x_out of that older loop)
+    F = CompositeObjective(gen_classification(7, 500, 100), "logistic",
+                           Regularizer(l2=0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = sdca_hood(F, np.zeros(100), TheoryBudget(), seed=0)
+    assert hashlib.sha256(r.x_out.tobytes()).hexdigest() == (
+        "acaa99bd414b946f4c64ff38dcb20276a957a9386a357bc30381c7d4c668d546")
 
 
 # ---------------------------------------------------------------------------
