@@ -537,10 +537,13 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
         if total_budget is not None and steps >= total_budget:
             break
         todo = chunk if total_budget is None else min(chunk, total_budget - steps)
-        todo = min(todo, run.sample_room())
+        room = run.sample_room()  # counts down; each statistic check resets it
+        todo = min(todo, room)
         if todo <= 0:
             break
         for i in rng.integers(0, n, size=todo).tolist():
+            if (room := room - 1) < 0:
+                break
             ridx, rval = rows[i]
             s = _sdca_coordinate(F.loss, labels[i], lam, alpha[i],
                                  float(rval @ x[ridx]), q[i])
@@ -563,6 +566,7 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
                 if run.record(run.policy.stat(F, x)):
                     stopped = True
                     break
+                room = run.sample_room()
 
     if isinstance(policy, (TheoryBudget, FixedIterations)) and steps > 0:
         _budget_final_stat(run, F, x, use_gap=True)

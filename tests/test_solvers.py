@@ -125,6 +125,20 @@ def test_logistic_sdca_bisection_stops_at_a_collapsed_bracket():
         "acaa99bd414b946f4c64ff38dcb20276a957a9386a357bc30381c7d4c668d546")
 
 
+def test_sdca_practical_policies_keep_the_pass_cap():
+    # each statistic check costs a pass: the chunk's steps must shrink to
+    # the room left after it (this run once spent 6.0 passes under cap 5
+    # and 20.25 under cap 20)
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l2=0.05)).smooth(0.1)
+    for policy, cap in ((PracticalGradThird(), 5.0),
+                        (PracticalGapQuarter(), 20.0)):
+        r = sdca_hood(F, np.zeros(8), policy, seed=0, pass_cap=cap,
+                      baseline=1e-12)
+        assert r.data_passes == pytest.approx(cap, abs=1e-9)
+        assert r.data_passes <= cap + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
