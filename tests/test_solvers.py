@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from adaptreduce import (CompositeObjective, ConfigError, Dataset,
-                         FixedIterations, PracticalGapQuarter,
+                         FixedIterations, NumericalError, PracticalGapQuarter,
                          PracticalGradThird, Regularizer, TheoryBudget,
                          apg_hood, exact_oracle, gen_classification,
                          prox_gd_hood,
                          quadratic_reference, reference_minimize, sdca_hood,
                          svrg_hood)
+from adaptreduce import solvers
+from adaptreduce.solvers import _sdca_coordinate
 
 
 def dense_ds(A, b):
@@ -112,10 +114,10 @@ def test_sdca_improves_objective():
     assert r.final_stat >= 0.0  # duality gap statistic
 
 
-def test_logistic_sdca_bisection_stops_at_a_collapsed_bracket():
-    # the bisection used to go on halving a bracket collapsed onto a domain
-    # end, evaluating log1p(-1) there; stopping at the collapse warns no more
-    # and keeps every float (the digest is the x_out of that older loop)
+def test_logistic_sdca_newton_keeps_the_bisection_run():
+    # on this run the Newton coordinate solve gives the x_out of the
+    # bisection it replaced, bit for bit (the digest is that loop's x_out);
+    # it evaluates no log at a domain end, where log1p(-1) once warned
     F = CompositeObjective(gen_classification(7, 500, 100), "logistic",
                            Regularizer(l2=0.01))
     with warnings.catch_warnings():
@@ -123,6 +125,64 @@ def test_logistic_sdca_bisection_stops_at_a_collapsed_bracket():
         r = sdca_hood(F, np.zeros(100), TheoryBudget(), seed=0)
     assert hashlib.sha256(r.x_out.tobytes()).hexdigest() == (
         "acaa99bd414b946f4c64ff38dcb20276a957a9386a357bc30381c7d4c668d546")
+
+
+def bisection_coordinate(kind, b, lam, alpha_i, z, q):
+    """The logistic branch of _sdca_coordinate before Newton replaced it."""
+    lo, hi = min(-b, 0.0), max(-b, 0.0)
+    # logistic: phi*' rises monotonically from -inf to +inf over the open
+    # domain, so bisection on s is safe
+    s_lo, s_hi = lo, hi
+    for _ in range(64):
+        s = 0.5 * (s_lo + s_hi)
+        if s == s_lo or s == s_hi:
+            break  # collapsed: later halvings would leave the bracket as is
+        u = s / b
+        h = (np.log1p(u) - np.log(-u)) / b + lam * s + q * (s - alpha_i) - z
+        if h < 0.0:
+            s_lo = s
+        else:
+            s_hi = s
+    return 0.5 * (s_lo + s_hi)
+
+
+def test_logistic_sdca_coordinate_matches_bisection(monkeypatch):
+    # every tuple converges well inside the cap: steps that cross the
+    # inflection stop at 0, and roots that round onto the bracket's ends
+    # are reached (without either, some tuples need 25 to 100 steps)
+    monkeypatch.setattr(solvers, "_NEWTON_CAP", 25)
+    rng = np.random.default_rng(70)
+    n = 20000
+    b = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    b *= np.where(rng.random(n) < 0.3, 1.0, rng.uniform(0.05, 5.0, n))
+    lam = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-6, 1, n))
+    q = 10.0 ** rng.uniform(-6, 4, n)
+    z = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-6, 0, n)
+    where = rng.random(n)  # a tenth of the duals on each domain end
+    alpha = np.where(where < 0.1, -b, np.where(where < 0.2, 0.0,
+                                               -b * rng.random(n)))
+    worst = 0.0
+    for args in zip(b.tolist(), lam.tolist(), alpha.tolist(), z.tolist(),
+                    q.tolist()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = _sdca_coordinate("logistic", *args)
+        with np.errstate(divide="ignore"):
+            s_ref = bisection_coordinate("logistic", *args)
+        bi = args[0]
+        assert min(-bi, 0.0) <= s <= max(-bi, 0.0), args
+        worst = max(worst, abs(s - s_ref) / abs(bi))
+    assert worst <= 2e-15
+
+
+def test_logistic_sdca_coordinate_guard_names_its_inputs(monkeypatch):
+    with pytest.raises(NumericalError, match=r"z=nan"):
+        _sdca_coordinate("logistic", 1.0, 0.0, -0.5, float("nan"), 1.0)
+    monkeypatch.setattr(solvers, "_NEWTON_CAP", 1)
+    with pytest.raises(NumericalError,
+                       match=r"in 1 steps \(b=-2.0, lam=0.1, "
+                             r"alpha_i=1.0, z=3.0, q=0.5\)"):
+        _sdca_coordinate("logistic", -2.0, 0.1, 1.0, 3.0, 0.5)
 
 
 def test_sdca_practical_policies_keep_the_pass_cap():
