@@ -90,7 +90,7 @@ GOLDEN = {
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
-        "b9810e2ce79309fa131f659b3dd1454ada29e2ed57c43dd853a5c4670881fbc4"),
+        "8d1e179c19e99781b2baa2aff9da832e10c6ab5acd26f0c6b969947eb5c23d34"),
     "sparse-svm-adaptsmooth-svrg": (
         "sparse-classification", dict(task="svm", l2_weight=0.05,
                                       method="adaptsmooth", oracle="svrg",
