@@ -17,10 +17,9 @@ from .harness import (CSV_HEADER, ConvergenceTrace, ExperimentConfig,
                       dense_to_dataset, emit_csv, gen_classification,
                       gen_regression, parse_config_file, parse_trace_csv,
                       run_experiment, sweep, sweep_summary, write_dataset)
-from .losses import (ScalarLoss, SmoothedLoss, conjugate_domain,
-                     loss_conjugate, loss_deriv, loss_lipschitz,
-                     loss_smoothness, loss_value, smoothed_conjugate,
-                     smoothed_deriv, smoothed_value)
+from .losses import (ScalarLoss, conjugate_domain, loss_conjugate,
+                     loss_deriv, loss_lipschitz, loss_smoothness, loss_value,
+                     smoothed_conjugate, smoothed_deriv, smoothed_value)
 from .objectives import Case, CompositeObjective
 from .reductions import (EpochRecord, HALVING, ReductionParams, adapt_reg,
                          adapt_smooth, classical_reg, classical_smooth,
@@ -43,7 +42,7 @@ __all__ = [
     "ConfigError", "ConvergenceTrace", "DataError", "Dataset", "EpochRecord",
     "ExperimentConfig", "FixedIterations", "NumericalError", "OracleReport",
     "PracticalGapQuarter", "PracticalGradThird", "ReductionParams",
-    "Regularizer", "ScalarLoss", "SmoothedLoss", "SweepResult",
+    "Regularizer", "ScalarLoss", "SweepResult",
     "TheoryBudget", "TraceRow",
     "adapt_reg", "adapt_smooth", "apg_hood", "base_reference",
     "brute_force_conjugate", "brute_force_reg_conjugate",

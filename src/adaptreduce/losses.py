@@ -24,8 +24,6 @@ from .errors import ConfigError
 
 KINDS = ("squared", "logistic", "hinge")
 
-_NEWTON_TOL = 1e-12  # absolute tolerance of the smoothed-logistic maximizer
-
 
 def _sigmoid(t):
     t = np.asarray(t, dtype=float)
@@ -274,33 +272,3 @@ class ScalarLoss:
     @property
     def smoothness(self) -> float:
         return float(loss_smoothness(self.kind, self.b))
-
-    def smoothed(self, lam: float) -> "SmoothedLoss":
-        return SmoothedLoss(self.kind, self.b, lam)
-
-
-@dataclass(frozen=True)
-class SmoothedLoss:
-    """f_lam for one loss term; (1/lam)-smooth in z."""
-
-    kind: str
-    b: float
-    lam: float
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        if self.lam <= 0.0:
-            raise ConfigError("smoothing parameter must be positive")
-
-    def value(self, z: float) -> float:
-        return float(smoothed_value(self.kind, z, self.b, self.lam))
-
-    def gradient(self, z: float) -> float:
-        return float(smoothed_deriv(self.kind, z, self.b, self.lam))
-
-    def conjugate(self, beta: float) -> float:
-        return float(smoothed_conjugate(self.kind, beta, self.b, self.lam))
-
-    @property
-    def smoothness(self) -> float:
-        return 1.0 / self.lam

@@ -298,11 +298,14 @@ def test_scalar_loss_wrapper_roundtrip():
     assert loss.subgradient(1.0) == 2.0
     assert loss.conjugate_domain() == (0.0, 2.0)
     assert loss.lipschitz == 2.0
-    sm = loss.smoothed(0.25)
-    assert sm.lam == 0.25
-    assert sm.value(1.0) == pytest.approx(
-        smoothed_value("hinge", 1.0, -2.0, 0.25))
-    assert sm.smoothness == pytest.approx(4.0)  # 1/lam
+    # smoothed at lam = 0.25: t = b z = -2 lies on the linear piece, where
+    # the value is f - lam G^2/2 and the derivative is the subgradient
+    assert smoothed_value("hinge", 1.0, -2.0, 0.25) == (
+        loss.value(1.0) - 0.25 * loss.lipschitz ** 2 / 2) == 2.5
+    assert smoothed_deriv("hinge", 1.0, -2.0, 0.25) == loss.subgradient(1.0)
+    # f*(beta) = beta/b on the domain, plus lam/2 beta^2
+    assert smoothed_conjugate("hinge", 1.0, -2.0, 0.25) == (
+        loss.conjugate(1.0) + 0.125) == -0.375
 
 
 def test_unknown_kind_rejected():
