@@ -25,9 +25,9 @@ lists and row views made once per call, yet every float stays the one the
 vectorized functions give: a scalar closed form stands in for a numpy call
 only where it needs nothing but + - * / min max, which are exactly rounded;
 exp and log stay numpy calls, because math's differ in the last bit.  The
-one exception is the logistic SDCA coordinate: safeguarded Newton on math.exp
-takes 3 to 5 steps where the bisection it replaced took up to 64 halvings of
-numpy calls, and it moves the duals in their last bits.
+one exception is the logistic SDCA coordinate, a safeguarded Newton solve on
+math.exp: no vectorized function fixes its bits, and numpy scalar calls would
+cost more than the 3 to 5 Newton steps it takes.
 """
 from __future__ import annotations
 
