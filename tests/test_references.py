@@ -176,23 +176,58 @@ def test_case1_reference_is_the_reference_minimize_array():
     assert base_reference(F) is reference_minimize(F)
 
 
-def test_hinge_warmup_runs_apg_hood_until_the_polish_certifies(monkeypatch):
-    # the golden svm objective: the polish certifies before the schedule's
-    # 30th epoch, and each epoch is one apg_hood call
+def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
+    # the golden svm objective: Case3 is warmed up without apg_hood, by
+    # whole epochs of coordinate steps, polished every _DCA_POLISH_EVERY
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Case3 warm-up called apg_hood")
+
     F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
                            Regularizer(l2=0.05))
-    calls = []
-    real = references.apg_hood
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(references, "apg_hood", counted)
-    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    monkeypatch.setattr(references, "apg_hood", refuse)
+    steps = count_calls(monkeypatch, "_sdca_coordinate")
     x = base_reference(F)
-    assert 1 <= len(calls) <= 29
+    assert len(steps) > 0
+    assert len(steps) % (references._DCA_POLISH_EVERY * F.n) == 0
     assert F.full_value(x) == pytest.approx(0.15515605176761818, abs=1e-12)
+
+
+def test_l1svm_warmup_runs_apg_hood_until_the_polish_certifies(monkeypatch):
+    # the golden l1svm objective: the polish certifies before the schedule's
+    # 34th epoch, and each epoch is one apg_hood call
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l1=0.05))
+    calls = count_calls(monkeypatch, "apg_hood")
+    x = base_reference(F)
+    assert 1 <= len(calls) <= 33
+    assert F.full_value(x) == pytest.approx(0.21077018664805297, abs=1e-12)
+
+
+def test_svm_reference_duality_gap_certificate():
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l2=0.05))
+    x = base_reference(F)
+    _, tau = references._polish_hinge(F, x, references._MARGIN_TOLS[0])
+    assert np.all((tau >= 0.0) & (tau <= 1.0))
+    assert abs(references._check_hinge_gap(F, x, tau, 1e-12)) <= 1e-15
+    # the same dual point no longer certifies a displaced primal point
+    displaced = x + 1e-4 * np.random.default_rng(98).normal(size=F.dim)
+    with pytest.raises(NumericalError, match=r"duality gap .* exceeds tol 1e-12"):
+        references._check_hinge_gap(F, displaced, tau, 1e-12)
+    # base_reference's tol reaches the check: no gap is below a negative tol
+    with pytest.raises(NumericalError, match=r"duality gap .* exceeds tol -1"):
+        base_reference(F, -1.0)
+
+
+def test_readme_scale_small_l2_svm_reference_certifies(tmp_path, capsys):
+    # the l2 of the README's covtype recipe, on README-scale data
+    path = str(tmp_path / "cls.txt")
+    write_dataset(gen_classification(7, 500, 100), path)
+    rc = main(["reference", "--data-path", path, "--task", "svm",
+               "--l2-weight", "1e-5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "objective value at reference: 0.00186044636112" in (
+        capsys.readouterr().out)
 
 
 def test_separable_logistic_has_no_reference(tmp_path, capsys):
