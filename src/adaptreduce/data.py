@@ -3,6 +3,11 @@
 Rows are stored as three flat arrays (indptr, indices, values) like CSR so
 that desk-scale dense problems and genuinely sparse ones share one code
 path.  Feature indices are 0-based internally; the text format is 1-based.
+
+`matvec`, `rmatvec` and the reference solvers reach the data matrix only
+through `Dataset.matrix()`, whose backend the data choose: the cached dense
+array, or a `CsrMatrix` over the backing arrays when fewer than
+`_CSR_DENSITY` of the n*dim entries are stored.
 """
 from __future__ import annotations
 
@@ -12,19 +17,33 @@ import numpy as np
 
 from .errors import DataError
 
+# Below this fraction of stored entries the CSR kernels are the backend.
+# Measured crossover (one BLAS thread, 2 vCPUs): on 4500x250 rows the CSR
+# matvec/rmatvec took 0.2-0.5x the dense time at 2-5% density, 0.7-0.9x at
+# 10%, 1.1-1.5x at 15% and 2-6x at 20-50%; 500x100 and 60x20 rows, which
+# fit in cache dense, were faster dense at 5% and above.
+_CSR_DENSITY = 0.1
+# entries per densified row block in CsrMatrix.gram (1 MiB of float64)
+_GRAM_BLOCK = 1 << 17
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
+
 
 @dataclass
 class Dataset:
     """n feature rows with labels; immutable by convention once built."""
 
     indptr: np.ndarray   # int64, shape (n+1,)
-    indices: np.ndarray  # int64, shape (nnz,)
+    indices: np.ndarray  # int64, shape (nnz,), strictly increasing per row
     values: np.ndarray   # float64, shape (nnz,)
     labels: np.ndarray   # float64, shape (n,)
     dim: int
 
     _row_sq_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _dense_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _csr_cache: CsrMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -37,14 +56,31 @@ class Dataset:
             raise DataError("indptr length must be n+1")
         if np.any(np.diff(self.indptr) < 0):
             raise DataError("indptr must be non-decreasing")
-        if len(self.indices) != len(self.values) or (len(self.indices) and self.indptr[-1] != len(self.indices)):
+        nnz = len(self.indices)
+        if len(self.values) != nnz or self.indptr[-1] != nnz:
             raise DataError("indices/values length mismatch")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.dim):
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= self.dim):
             raise DataError("feature index out of range for dim=%d" % self.dim)
+        # within a row each index must exceed the one before it; the
+        # pairs that straddle a row boundary are exempt
+        bad = self.indices[1:] <= self.indices[:-1]
+        bounds = self.indptr[1:-1]
+        bad[bounds[(bounds > 0) & (bounds < nnz)] - 1] = False
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            row = int(np.searchsorted(self.indptr, k, side="right")) - 1
+            raise DataError(
+                f"row {row}: feature indices must be strictly increasing "
+                f"(got {self.indices[k]} after {self.indices[k - 1]})")
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def uses_csr(self) -> bool:
+        """Whether `matrix()` is the CSR backend rather than the dense one."""
+        return len(self.indices) < _CSR_DENSITY * self.n * self.dim
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(indices, values) of row i, views into the backing arrays."""
@@ -54,28 +90,26 @@ class Dataset:
     def row_sq_norms(self) -> np.ndarray:
         """Squared Euclidean norm of every row (cached)."""
         if self._row_sq_cache is None:
-            sq = self.values * self.values
-            if len(sq):
-                # trailing empty rows have offset == nnz, which reduceat
-                # rejects; clip them and let the empty-row patch fix the value
-                starts = np.minimum(self.indptr[:-1], len(sq) - 1)
-                out = np.add.reduceat(sq, starts)
-            else:
-                out = np.zeros(self.n)
-            empty = np.diff(self.indptr) == 0
-            if empty.any():
-                out = np.where(empty, 0.0, out)
-            self._row_sq_cache = out
+            self._row_sq_cache = _row_sums(self.indptr, self.values * self.values)
         return self._row_sq_cache
 
     def dense(self) -> np.ndarray:
-        """Materialized (n, dim) matrix; cached. Fine at desk scale."""
+        """Materialized (n, dim) matrix; cached.  n*dim floats, so only the
+        dense backend and tests call it; everything else uses `matrix()`."""
         if self._dense_cache is None:
-            A = np.zeros((self.n, self.dim))
-            A[np.repeat(np.arange(self.n), np.diff(self.indptr)),
-              self.indices] = self.values
-            self._dense_cache = A
+            self._dense_cache = _densify(self.indptr, self.indices,
+                                         self.values, self.dim)
         return self._dense_cache
+
+    def matrix(self) -> np.ndarray | CsrMatrix:
+        """The (n, dim) data matrix on this dataset's backend: `dense()`, or
+        a cached `CsrMatrix` over the backing arrays when `uses_csr`."""
+        if not self.uses_csr:
+            return self.dense()
+        if self._csr_cache is None:
+            self._csr_cache = CsrMatrix(self.indptr, self.indices,
+                                        self.values, self.dim)
+        return self._csr_cache
 
     def content_bytes(self) -> bytes:
         """Stable byte serialization used for hashing."""
@@ -86,6 +120,100 @@ class Dataset:
         ))
 
 
+def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum of terms[indptr[i]:indptr[i+1]] for every row i (0 if empty)."""
+    filled = indptr[:-1] < indptr[1:]
+    if filled.all():
+        return np.add.reduceat(terms, indptr[:-1])
+    # reduceat gives an empty row the entry at its offset (and rejects the
+    # offset nnz of a trailing one), so it sees the filled rows only
+    out = np.zeros(len(filled))
+    if len(terms):
+        out[filled] = np.add.reduceat(terms, indptr[:-1][filled])
+    return out
+
+
+def _densify(indptr, indices, values, dim) -> np.ndarray:
+    A = np.zeros((len(indptr) - 1, dim))
+    A[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices] = values
+    return A
+
+
+class CsrMatrix:
+    """Read-only CSR matrix with what the reference solvers do to the data
+    matrix: ``A @ x`` and ``A.T @ g`` for vectors, ``A[rows]`` (mask, index
+    array or slice), ``A[:, cols]`` (boolean mask), ``np.asarray(A)`` for a
+    small block, and the weighted Gram matrix through `gram`."""
+
+    def __init__(self, indptr, indices, values, dim: int):
+        self.indptr, self.indices, self.values = indptr, indices, values
+        self.shape = (len(indptr) - 1, int(dim))
+        self._rows = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+
+    @property
+    def T(self) -> _Adjoint:
+        return _Adjoint(self)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return _row_sums(self.indptr, self.values * x[self.indices])
+
+    def rmatvec(self, g: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, weights=self.values * g[self._rows],
+                           minlength=self.shape[1])
+
+    def __getitem__(self, key) -> CsrMatrix:
+        if isinstance(key, tuple):
+            rows, cols = key
+            if not (isinstance(rows, slice) and rows == slice(None)
+                    and np.asarray(cols).dtype == bool):
+                raise TypeError("CsrMatrix columns take A[:, boolean mask]")
+            keep = cols[self.indices]
+            counts = np.bincount(self._rows[keep], minlength=self.shape[0])
+            return CsrMatrix(_indptr(counts),
+                             (np.cumsum(cols) - 1)[self.indices[keep]],
+                             self.values[keep], int(np.count_nonzero(cols)))
+        rows = np.arange(self.shape[0])[key]
+        counts = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = _indptr(counts)
+        take = (np.repeat(self.indptr[rows] - indptr[:-1], counts)
+                + np.arange(indptr[-1]))
+        return CsrMatrix(indptr, self.indices[take], self.values[take],
+                         self.shape[1])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        A = _densify(self.indptr, self.indices, self.values, self.shape[1])
+        return A if dtype is None else A.astype(dtype, copy=False)
+
+    def gram(self, h: np.ndarray | None = None) -> np.ndarray:
+        """A^T diag(h) A (h = 1 when None), summed over densified blocks of
+        rows so that no more than _GRAM_BLOCK entries are dense at once."""
+        n, d = self.shape
+        G = np.zeros((d, d))
+        step = max(1, _GRAM_BLOCK // max(d, 1))
+        for lo in range(0, n, step):
+            blk = np.asarray(self[lo:lo + step])
+            G += (blk if h is None else blk * h[lo:lo + step, None]).T @ blk
+        return G
+
+
+class _Adjoint:
+    """``A.T`` of a CsrMatrix, for ``A.T @ g``."""
+
+    def __init__(self, A: CsrMatrix):
+        self.A = A
+
+    def __matmul__(self, g: np.ndarray) -> np.ndarray:
+        return self.A.rmatvec(g)
+
+
+def gram(A: np.ndarray | CsrMatrix, h: np.ndarray | None = None) -> np.ndarray:
+    """A^T diag(h) A (h = 1 when None) for a matrix from `Dataset.matrix()`
+    or a selection of it; on a dense array the plain numpy product."""
+    if isinstance(A, CsrMatrix):
+        return A.gram(h)
+    return A.T @ A if h is None else (A * h[:, None]).T @ A
+
+
 def row_dot(ds: Dataset, i: int, x: np.ndarray) -> float:
     """Inner product of row i with x."""
     idx, val = ds.row(i)
@@ -93,13 +221,13 @@ def row_dot(ds: Dataset, i: int, x: np.ndarray) -> float:
 
 
 def matvec(ds: Dataset, x: np.ndarray) -> np.ndarray:
-    """All n inner products a_i.x as one vector (uses the dense cache)."""
-    return ds.dense() @ x
+    """All n inner products a_i.x as one vector, on the data's backend."""
+    return ds.matrix() @ x
 
 
 def rmatvec(ds: Dataset, g: np.ndarray) -> np.ndarray:
-    """sum_i g_i * a_i, the adjoint of matvec."""
-    return ds.dense().T @ g
+    """sum_i g_i * a_i, the adjoint of matvec, on the data's backend."""
+    return ds.matrix().T @ g
 
 
 def parse_libsvm(text: str, dim: int | None = None) -> Dataset:

@@ -25,13 +25,17 @@ every reference is certificate backed.
   epoch the margin/support polish is tried, and the first certified point
   is the reference.
 
-All heavy lifting is dense numpy on desk-scale data.
+The data matrix comes from `Dataset.matrix()`: the dense array, on which
+every expression here is plain numpy, or a `data.CsrMatrix` on sparse data,
+which supports the same expressions and `data.gram` without densifying more
+than a block of rows (or the small margin block of the hinge polish).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import losses
+from .data import gram
 from .errors import NumericalError
 from .objectives import Case, CompositeObjective
 from .reductions import HALVING, _drive
@@ -79,8 +83,8 @@ def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
     return x
 
 
-def _dense_parts(F):
-    A = F.data.dense()
+def _parts(F):
+    A = F.data.matrix()
     b = F.data.labels
     return A, b, A.shape[0], A.shape[1]
 
@@ -90,7 +94,7 @@ def _dense_parts(F):
 # ---------------------------------------------------------------------------
 
 def _l1_smooth_reference(F) -> np.ndarray:
-    A, b, n, d = _dense_parts(F)
+    A, b, n, d = _parts(F)
     w = F.reg.l1
     L = F.smoothness
     if L <= 0.0:
@@ -162,7 +166,7 @@ def _support_solve(loss, AS, b, xs, shift) -> np.ndarray:
     n = AS.shape[0]
     try:
         if loss == "squared":
-            return np.linalg.solve(AS.T @ AS / n, AS.T @ b / n - shift)
+            return np.linalg.solve(gram(AS) / n, AS.T @ b / n - shift)
         for _ in range(60):
             z = AS @ xs
             gS = AS.T @ losses.loss_deriv(loss, z, b) / n + shift
@@ -170,7 +174,7 @@ def _support_solve(loss, AS, b, xs, shift) -> np.ndarray:
                 break
             sig = losses._sigmoid(-b * z)
             h = sig * (1.0 - sig) * b * b
-            H = (AS * h[:, None]).T @ AS / n
+            H = gram(AS, h) / n
             try:
                 step = np.linalg.solve(H, gS)
             except np.linalg.LinAlgError:
@@ -259,7 +263,7 @@ def _svm_reference(F, tol) -> np.ndarray:
 def _check_hinge_gap(F, x, tau, tol) -> float:
     """The duality gap P(x) - D(alpha) at the feasible dual point
     alpha = -b tau, tau in [0, 1]^n; raises when it is not at most tol."""
-    A, b, n, d = _dense_parts(F)
+    A, b, n, d = _parts(F)
     alpha = -b * tau
     v = -(A.T @ alpha) / n
     dual = (-float(losses.loss_conjugate("hinge", alpha, b).mean())
@@ -276,7 +280,7 @@ def _polish_hinge(F, x_warm, margin_tol) -> tuple[np.ndarray, np.ndarray]:
     warmup point, then verify every optimality condition.  Returns the
     point and its multipliers: 1 on violated margins, the solve's clipped
     to [0, 1] on the margin set, 0 elsewhere."""
-    A, b, n, d = _dense_parts(F)
+    A, b, n, d = _parts(F)
     reg = F.reg
     w = reg.l1
     sigma = reg.strong_convexity
@@ -296,7 +300,7 @@ def _polish_hinge(F, x_warm, margin_tol) -> tuple[np.ndarray, np.ndarray]:
     k = int(S.sum())
     mcount = len(M)
     g0 = -(A[viol].T @ b[viol]) / n
-    B = A[M] * b[M][:, None] if mcount else np.zeros((0, d))
+    B = np.asarray(A[M]) * b[M][:, None] if mcount else np.zeros((0, d))
     # unknowns [x_S, tau_M]; stationarity on S then margin equalities
     Z = np.zeros((k + mcount, k + mcount))
     rhs = np.zeros(k + mcount)

@@ -1,9 +1,15 @@
 """Sparse dataset container, text parsing, and row arithmetic."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adaptreduce import (DataError, Dataset, matvec, normalize_rows,
-                         parse_libsvm, rmatvec, row_dot, serialize_libsvm)
+import adaptreduce
+from adaptreduce import (DataError, Dataset, gen_classification, matvec,
+                         normalize_rows, parse_libsvm, rmatvec, row_dot,
+                         serialize_libsvm)
+from adaptreduce import data as data_mod
+from adaptreduce.data import CsrMatrix, gram
 
 
 def random_sparse(rng, n, d, density=0.4):
@@ -19,6 +25,16 @@ def random_sparse(rng, n, d, density=0.4):
     labels = rng.normal(size=n)
     return Dataset(np.array(indptr), np.array(indices, dtype=np.int64),
                    np.array(values), labels, dim=d)
+
+
+def without_rows(ds, rows):
+    """`ds` with the given rows emptied."""
+    keep = np.ones(ds.n, dtype=bool)
+    keep[rows] = False
+    lens = np.where(keep, np.diff(ds.indptr), 0)
+    mask = np.repeat(keep, np.diff(ds.indptr))
+    return Dataset(np.concatenate(([0], np.cumsum(lens))), ds.indices[mask],
+                   ds.values[mask], ds.labels, dim=ds.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +158,17 @@ def test_matvec_rmatvec_adjoint():
         float(x @ rmatvec(ds, g)), rel=1e-12)
 
 
+def test_row_sq_norms_match_dense_with_trailing_empty_rows():
+    # the last filled row's sum must not stop at a trailing empty row
+    ds = Dataset(np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 2.0]),
+                 np.ones(2), dim=2)
+    np.testing.assert_array_equal(ds.row_sq_norms(), [5.0, 0.0])
+    rng = np.random.default_rng(27)
+    ds = without_rows(random_sparse(rng, 20, 10, density=0.3), [3, 4, 18, 19])
+    np.testing.assert_allclose(ds.row_sq_norms(),
+                               (ds.dense() ** 2).sum(axis=1), rtol=1e-12)
+
+
 def test_row_sq_norms_match_dense():
     rng = np.random.default_rng(23)
     ds = random_sparse(rng, 20, 10, density=0.3)
@@ -154,14 +181,7 @@ def test_row_sq_norms_match_dense():
 def test_dense_matches_row_by_row_fill():
     # ragged rows, empty ones in the middle and at the end
     rng = np.random.default_rng(25)
-    ds = random_sparse(rng, 12, 7, density=0.35)
-    keep = np.ones(ds.n, dtype=bool)
-    keep[[0, 5, 6, 10, 11]] = False
-    lens = np.where(keep, np.diff(ds.indptr), 0)
-    rows = np.repeat(np.arange(ds.n), np.diff(ds.indptr))
-    mask = keep[rows]
-    ds = Dataset(np.concatenate(([0], np.cumsum(lens))), ds.indices[mask],
-                 ds.values[mask], ds.labels, dim=ds.dim)
+    ds = without_rows(random_sparse(rng, 12, 7, density=0.35), [0, 5, 6, 10, 11])
     assert ds.indptr[-1] == ds.indptr[-3]
     want = np.zeros((ds.n, ds.dim))
     for i in range(ds.n):
@@ -204,3 +224,101 @@ def test_content_bytes_distinguishes_datasets():
     wider = Dataset(ds.indptr.copy(), ds.indices.copy(), ds.values.copy(),
                     ds.labels.copy(), dim=ds.dim + 1)
     assert ds.content_bytes() != wider.content_bytes()
+
+
+def test_dataset_rejects_repeated_or_decreasing_indices_in_a_row():
+    # with a repeated index the data would disagree with itself: dense()
+    # keeps the last entry, row_dot and row_sq_norms add both
+    with pytest.raises(DataError, match="row 0: .*increasing"):
+        Dataset(np.array([0, 2]), np.array([1, 1]), np.array([1.0, 2.0]),
+                np.array([1.0]), dim=3)
+    with pytest.raises(DataError, match="row 2: .*increasing"):
+        Dataset(np.array([0, 1, 1, 3]), np.array([2, 1, 0]), np.ones(3),
+                np.ones(3), dim=3)
+    with pytest.raises(DataError, match="length"):  # indptr[-1] != nnz
+        Dataset(np.array([0, 1]), np.array([], dtype=np.int64), np.array([]),
+                np.ones(1), dim=2)
+    # a row may start below the previous row's last index, across empty
+    # rows too
+    ds = Dataset(np.array([0, 0, 2, 2, 3]), np.array([0, 2, 1]), np.ones(3),
+                 np.ones(4), dim=3)
+    assert ds.n == 4
+
+
+# ---------------------------------------------------------------------------
+# backends
+# ---------------------------------------------------------------------------
+
+def test_backend_follows_density():
+    assert not gen_classification(7, 500, 100).uses_csr
+    n, d, per_row = 4500, 250, 12
+    offsets = np.random.default_rng(28).integers(0, 20, size=n)
+    indices = (offsets[:, None] + 20 * np.arange(per_row)).ravel()
+    ds = Dataset(np.arange(n + 1) * per_row, indices, np.ones(n * per_row),
+                 np.ones(n), dim=d)
+    assert ds.uses_csr and isinstance(ds.matrix(), CsrMatrix)
+    assert ds.matrix() is ds.matrix()
+    assert ds._dense_cache is None
+    # at exactly _CSR_DENSITY of the entries the data stay dense
+    ds = Dataset(np.array([0, 1]), np.array([0]), np.ones(1), np.ones(1),
+                 dim=int(round(1 / data_mod._CSR_DENSITY)))
+    assert not ds.uses_csr and isinstance(ds.matrix(), np.ndarray)
+
+
+def test_csr_backend_matches_dense():
+    rng = np.random.default_rng(26)
+    ds = without_rows(random_sparse(rng, 300, 80, density=0.05),
+                      [0, 7, 150, 151, 298, 299])
+    assert ds.uses_csr and ds.indptr[-1] == ds.indptr[-3]
+    x, g = rng.normal(size=80), rng.normal(size=300)
+    got_x, got_g = matvec(ds, x), rmatvec(ds, g)
+    assert ds._dense_cache is None
+    A = ds.dense()
+    np.testing.assert_allclose(got_x, A @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_g, A.T @ g, rtol=0, atol=1e-12)
+    assert got_x[[0, 7, 150, 151, 298, 299]].tolist() == [0.0] * 6
+    # the backend stays CSR once the dense matrix exists
+    assert isinstance(ds.matrix(), CsrMatrix)
+    empty = Dataset(np.zeros(4, dtype=np.int64), np.array([], dtype=np.int64),
+                    np.array([]), np.ones(3), dim=5)
+    assert empty.uses_csr
+    assert matvec(empty, np.ones(5)).tolist() == [0.0] * 3
+    assert rmatvec(empty, np.ones(3)).tolist() == [0.0] * 5
+
+
+def test_csr_matrix_selections_and_gram_match_dense(monkeypatch):
+    rng = np.random.default_rng(29)
+    ds = without_rows(random_sparse(rng, 60, 30, density=0.08), [5, 58, 59])
+    M, A = ds.matrix(), ds.dense()
+    rows = rng.random(60) < 0.5
+    cols = rng.random(30) < 0.5
+    for got, want in ((M[rows], A[rows]), (M[np.flatnonzero(rows)], A[rows]),
+                      (M[[4, 2, 2]], A[[4, 2, 2]]), (M[10:60], A[10:60]),
+                      (M[:, cols], A[:, cols]), (M[rows][:, cols], A[rows][:, cols])):
+        assert isinstance(got, CsrMatrix) and got.shape == want.shape
+        assert np.array_equal(np.asarray(got), want)
+        x, g = rng.normal(size=want.shape[1]), rng.normal(size=want.shape[0])
+        np.testing.assert_allclose(got @ x, want @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.T @ g, want.T @ g, rtol=0, atol=1e-12)
+    with pytest.raises(TypeError):
+        M[:, np.flatnonzero(cols)]
+    h = rng.random(60)
+    one_block = gram(M, h)
+    np.testing.assert_allclose(one_block, (A * h[:, None]).T @ A, atol=1e-12)
+    np.testing.assert_allclose(gram(M), A.T @ A, atol=1e-12)
+    monkeypatch.setattr(data_mod, "_GRAM_BLOCK", 7 * 30)  # 7 rows a block
+    np.testing.assert_allclose(gram(M, h), one_block, rtol=0, atol=1e-12)
+    # on a dense array gram is the plain product, bit for bit
+    assert np.array_equal(gram(A, h), (A * h[:, None]).T @ A)
+    assert np.array_equal(gram(A), A.T @ A)
+
+
+def test_only_the_data_module_materializes_the_dense_matrix():
+    # matvec, rmatvec and the references reach the data through
+    # Dataset.matrix(), so sparse data are never densified whole
+    package = Path(adaptreduce.__file__).parent
+    calls = [f"{path.relative_to(package)}:{lineno}"
+             for path in sorted(package.rglob("*.py")) if path.name != "data.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if ".dense(" in line]
+    assert calls == []

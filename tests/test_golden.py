@@ -31,6 +31,10 @@ DATA = {
         gen_regression(63, 60, 20, sparsity=5), 65),
     "sparse-classification": lambda: sparsify(
         gen_classification(64, 60, 20, flip_fraction=0.2), 66),
+    # about 2 of 40 entries per row, 24 rows empty: below the density at
+    # which matvec/rmatvec and the reference run on the CSR backend
+    "csr-classification": lambda: sparsify(
+        gen_classification(67, 200, 40, flip_fraction=0.2), 68, keep=0.05),
 }
 
 # name -> (dataset, config fields, SHA-256 of the written CSV)
@@ -96,6 +100,12 @@ GOLDEN = {
                                       method="adaptsmooth", oracle="svrg",
                                       T=5, seed=11),
         "8b4f4423bc49324c47af41532bafcac642027e02dbb731a0f4920214e887f452"),
+    # the CSR kernels' summation order, which differs from the dense
+    # backend's in the last bits
+    "csr-logistic-adaptreg-sdca": (
+        "csr-classification", dict(task="logistic", method="adaptreg",
+                                   oracle="sdca", T=4, seed=14),
+        "51dfd4d98caf527dbf33f3445cfb103ddd5b21f218f72031214b135ad3022466"),
 }
 
 

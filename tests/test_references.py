@@ -8,11 +8,13 @@ sandwich (projected dual ascent in plain numpy) for the SVM family.
 import numpy as np
 import pytest
 
-from adaptreduce import (CompositeObjective, Dataset, NumericalError,
-                         Regularizer, base_reference, gen_classification,
-                         gen_regression, quadratic_reference,
-                         reference_minimize, write_dataset)
-from adaptreduce import references
+from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
+                         NumericalError, Regularizer, base_reference,
+                         gen_classification, gen_regression,
+                         quadratic_reference, reference_minimize,
+                         run_experiment, write_dataset)
+from adaptreduce import data as data_mod
+from adaptreduce import harness, references
 from adaptreduce.cli import main
 
 
@@ -365,3 +367,51 @@ def test_smoothed_case2_has_no_reference(monkeypatch, F):
                        match=rf"smoothed Case2 .*{F.loss} loss.*{F.smoothing}"):
         base_reference(F)
     assert calls == []
+
+
+def sparse_logistic_rows(seed, n, d, per_row):
+    """per_row standard normal entries in each row, labels drawn from a
+    logistic model around a planted vector (overlapping classes)."""
+    rng = np.random.default_rng(seed)
+    cols = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :per_row], axis=1)
+    vals = rng.normal(size=(n, per_row))
+    margin = (vals * rng.normal(size=d)[cols]).sum(axis=1)
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-margin)), 1.0, -1.0)
+    return Dataset(np.arange(n + 1) * per_row, cols.ravel(), vals.ravel(), y,
+                   dim=d)
+
+
+@pytest.mark.parametrize("loss, reg", [
+    ("logistic", Regularizer(l1=0.01)),   # Case2
+    ("hinge", Regularizer(l2=0.1)),       # Case3
+])
+def test_sparse_references_never_densify_and_match_dense(monkeypatch, loss, reg):
+    data = sparse_logistic_rows(93, 300, 60, 3)
+    assert data.uses_csr
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    F = CompositeObjective(data, loss, reg)
+    x = base_reference(F)
+    assert data._dense_cache is None
+    # the same problem on the dense backend
+    monkeypatch.setattr(data_mod, "_CSR_DENSITY", 0.0)
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    G = CompositeObjective(sparse_logistic_rows(93, 300, 60, 3), loss, reg)
+    assert not G.data.uses_csr
+    np.testing.assert_allclose(x, base_reference(G), rtol=0, atol=1e-9)
+    if loss == "logistic":
+        assert_l1_kkt(F, x)
+
+
+def test_sparse_adaptreg_run_never_densifies(tmp_path, monkeypatch):
+    path = str(tmp_path / "sparse.txt")
+    write_dataset(sparse_logistic_rows(94, 300, 60, 3), path)
+    loaded = []
+    real = harness.load_dataset
+    monkeypatch.setattr(harness, "load_dataset",
+                        lambda config: loaded.append(real(config)) or loaded[-1])
+    trace = run_experiment(ExperimentConfig(
+        data_path=path, out_dir=str(tmp_path), task="logistic",
+        method="adaptreg", oracle="sdca", T=4, seed=3, normalize=True))
+    assert trace.rows and trace.rows[-1].subopt < trace.rows[0].subopt
+    [data] = loaded
+    assert data.uses_csr and data._dense_cache is None
