@@ -97,8 +97,10 @@ class Dataset:
         """Materialized (n, dim) matrix; cached.  n*dim floats, so only the
         dense backend and tests call it; everything else uses `matrix()`."""
         if self._dense_cache is None:
-            self._dense_cache = _densify(self.indptr, self.indices,
-                                         self.values, self.dim)
+            A = np.zeros((self.n, self.dim))
+            A[np.repeat(np.arange(self.n), np.diff(self.indptr)),
+              self.indices] = self.values
+            self._dense_cache = A
         return self._dense_cache
 
     def matrix(self) -> np.ndarray | CsrMatrix:
@@ -131,12 +133,6 @@ def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
     if len(terms):
         out[filled] = np.add.reduceat(terms, indptr[:-1][filled])
     return out
-
-
-def _densify(indptr, indices, values, dim) -> np.ndarray:
-    A = np.zeros((len(indptr) - 1, dim))
-    A[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices] = values
-    return A
 
 
 class CsrMatrix:
@@ -181,7 +177,8 @@ class CsrMatrix:
                          self.shape[1])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        A = _densify(self.indptr, self.indices, self.values, self.shape[1])
+        A = np.zeros(self.shape)
+        A[self._rows, self.indices] = self.values
         return A if dtype is None else A.astype(dtype, copy=False)
 
     def gram(self, h: np.ndarray | None = None) -> np.ndarray:

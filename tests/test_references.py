@@ -407,8 +407,12 @@ def test_sparse_adaptreg_run_never_densifies(tmp_path, monkeypatch):
     write_dataset(sparse_logistic_rows(94, 300, 60, 3), path)
     loaded = []
     real = harness.load_dataset
-    monkeypatch.setattr(harness, "load_dataset",
-                        lambda config: loaded.append(real(config)) or loaded[-1])
+
+    def load_dataset(config):
+        loaded.append(real(config))
+        return loaded[-1]
+
+    monkeypatch.setattr(harness, "load_dataset", load_dataset)
     trace = run_experiment(ExperimentConfig(
         data_path=path, out_dir=str(tmp_path), task="logistic",
         method="adaptreg", oracle="sdca", T=4, seed=3, normalize=True))
