@@ -28,11 +28,12 @@ from .references import base_reference
 from .regularizers import Regularizer, soft_threshold
 from .solvers import (FixedIterations, OracleReport, PracticalGapQuarter,
                       PracticalGradThird, STAT_FLOOR, TheoryBudget,
-                      apg_hood, exact_oracle, prox_gd_hood, reference_minimize,
+                      apg_hood, prox_gd_hood, reference_minimize,
                       sdca_hood, svrg_hood)
 from .verify import (BoundCheck, BoundReport, CHECK_NAMES,
                      brute_force_conjugate, brute_force_reg_conjugate,
-                     brute_force_smoothed, quadratic_reference, verify_bound)
+                     brute_force_smoothed, exact_oracle, quadratic_reference,
+                     verify_bound)
 
 __version__ = "0.1.0"
 

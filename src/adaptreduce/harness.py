@@ -44,8 +44,6 @@ _ORACLE_FN = {"proxgd": prox_gd_hood, "apg": apg_hood, "svrg": svrg_hood,
 
 CSV_HEADER = "epoch,passes,objective,subopt,stat,sigma_t,lambda_t,wall_ms"
 
-_REF_TOL = 1e-12
-
 
 @dataclass
 class ExperimentConfig:
@@ -230,13 +228,18 @@ def cached_reference(F: CompositeObjective, key: str,
     path = os.path.join(cache_dir, key + ".ref")
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            vals = [float(line) for line in fh if line.strip()]
-        if len(vals) != F.dim:
+            try:
+                x = np.array([float(line) for line in fh if line.strip()])
+            except ValueError as err:
+                raise DataError(f"reference cache entry {path} is unparsable "
+                                f"({err})")
+        if len(x) != F.dim:
             raise DataError(f"reference cache entry {path} has wrong length")
-        x = np.array(vals)
+        if not np.isfinite(x).all():
+            raise DataError(f"reference cache entry {path} is not finite")
         x.setflags(write=False)
         return x
-    x = base_reference(F, _REF_TOL)
+    x = base_reference(F)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

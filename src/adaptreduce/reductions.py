@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .objectives import Case, CompositeObjective
 from .solvers import (OracleReport, PracticalGapQuarter, PracticalGradThird,
-                      STAT_FLOOR, reference_minimize)
+                      STAT_FLOOR)
 
 HALVING = 2.0  # fixed epoch halving factor; the analysis constants assume it
 _EPOCH_GUARD = 10 ** 6  # constant schedules give up after this many epochs
@@ -63,7 +63,6 @@ class EpochRecord:
     x_hat: np.ndarray
     report: OracleReport
     passes: float  # cumulative data passes through this epoch
-    D_estimate: float | None = None
 
 
 def default_params(delta: float, theta: float, G: float, eps: float) -> ReductionParams:
@@ -101,8 +100,7 @@ def _require_case(F: CompositeObjective, case: Case, who: str):
 
 
 def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
-           pass_budget=None, stalled=None, record_D=False, ref_tol=1e-12,
-           epoch_seed=_epoch_seed):
+           pass_budget=None, stalled=None, epoch_seed=_epoch_seed):
     """The one epoch loop: for each (sigma_t, lambda_t) of the schedule,
     call the oracle on transform(sigma_t, lambda_t), warm-started at the
     previous epoch's output.
@@ -136,14 +134,10 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
         samples += report.sample_evals
         if report.recorded_stat is not None:
             baseline = report.recorded_stat
-        D = None
-        if record_D:
-            x_star_t = reference_minimize(F_t, ref_tol)
-            D = F_t.full_value(x_hat) - F_t.full_value(x_star_t)
         x_hat = np.array(report.x_out, dtype=float)
         records.append(EpochRecord(
             t=t, sigma_t=sigma_t, lambda_t=lam_t, x_hat=x_hat, report=report,
-            passes=full + samples / n, D_estimate=D))
+            passes=full + samples / n))
         idle = report.full_evals == 0 and report.sample_evals == 0
         if (pass_budget is not None and idle) or (stalled and stalled(report)):
             break
@@ -151,7 +145,7 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
 
 
 def adapt_reg(F, oracle, x0, params: ReductionParams, policy, *,
-              seed=None, pass_budget=None, record_D=False, ref_tol=1e-12):
+              seed=None, pass_budget=None):
     """Adaptive regularization: epoch t minimizes F + sigma_t/2 |x - x0|^2
     (center fixed at the ORIGINAL x0), sigma_t = sigma0 / 2^t, warm starts
     threading through.  Requires a smooth non-strongly-convex (Case2) F."""
@@ -162,12 +156,11 @@ def adapt_reg(F, oracle, x0, params: ReductionParams, policy, *,
     schedule = [(params.sigma0 / HALVING ** t, 0.0) for t in range(params.T)]
     return _drive(F, oracle, x0, policy, schedule,
                   lambda sigma_t, lam_t: F.regularize(sigma_t, x0),
-                  seed=seed, pass_budget=pass_budget, record_D=record_D,
-                  ref_tol=ref_tol)
+                  seed=seed, pass_budget=pass_budget)
 
 
 def adapt_smooth(F, oracle, x0, params: ReductionParams, policy, *,
-                 seed=None, pass_budget=None, record_D=False, ref_tol=1e-12):
+                 seed=None, pass_budget=None):
     """Adaptive smoothing: epoch t minimizes the lambda_t-smoothed objective,
     lambda_t = lam0 / 2^t.  Requires a strongly convex nonsmooth (Case3) F."""
     _require_case(F, Case.Case3, "adapt_smooth")
@@ -178,12 +171,11 @@ def adapt_smooth(F, oracle, x0, params: ReductionParams, policy, *,
     schedule = [(0.0, params.lam0 / HALVING ** t) for t in range(params.T)]
     return _drive(F, oracle, x0, policy, schedule,
                   lambda sigma_t, lam_t: F.smooth(lam_t),
-                  seed=seed, pass_budget=pass_budget, record_D=record_D,
-                  ref_tol=ref_tol)
+                  seed=seed, pass_budget=pass_budget)
 
 
 def joint_adapt(F, oracle, x0, params: ReductionParams, policy, *,
-                seed=None, pass_budget=None, record_D=False, ref_tol=1e-12):
+                seed=None, pass_budget=None):
     """Joint reduction: epoch t minimizes the lambda_t-smoothed losses plus
     sigma_t/2 |x - x0|^2 (original center), halving both parameters.
     Requires a Case4 F (neither smooth nor strongly convex)."""
@@ -195,8 +187,7 @@ def joint_adapt(F, oracle, x0, params: ReductionParams, policy, *,
                 for t in range(params.T)]
     return _drive(F, oracle, x0, policy, schedule,
                   lambda sigma_t, lam_t: F.smooth(lam_t).regularize(sigma_t, x0),
-                  seed=seed, pass_budget=pass_budget, record_D=record_D,
-                  ref_tol=ref_tol)
+                  seed=seed, pass_budget=pass_budget)
 
 
 def _classical(F_fixed, oracle, x0, policy, sigma, lam, *, seed, pass_budget,

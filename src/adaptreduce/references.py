@@ -5,7 +5,8 @@ loop `solvers.reference_minimize`.  The other classes are warmed up first to
 locate the combinatorial structure, then polished: a direct solve of the
 optimality system on that structure, followed by a check of the full KKT
 conditions.  A failed check raises rather than returning a sloppy point, so
-every reference is certificate backed.
+every reference is certificate backed.  `base_reference` keeps the one
+in-process reference cache, for every class (`harness` keeps the disk one).
 
 - Case2 (smooth loss, l1): FISTA locates the active set; the polish solves
   the support stationarity system (a linear solve for the squared loss,
@@ -59,16 +60,14 @@ _FISTA_CHECKPOINTS = (25, 50, 100, 200, 400, 800, 1600, 3200, 6000)
 
 
 def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
-    """Certified minimizer of F for any Case; cached in-process (Case1 by
-    `reference_minimize` itself).
+    """Certified minimizer of F for any Case, as a read-only array cached
+    in-process in `_BASE_CACHE` under `content_hash:tol`.
 
     `tol` bounds the duality gap of Case1 and Case3 references.  Case2 and
     Case4 references are certified by KKT checks at fixed tolerances and
     ignore it."""
     case = F.classify_case()
-    if case is Case.Case1:
-        return reference_minimize(F, tol)
-    if F.smoothing is not None:
+    if case is not Case.Case1 and F.smoothing is not None:
         raise NumericalError(
             f"no reference method for a smoothed {case.name} objective "
             f"({F.loss} loss, smoothing {F.smoothing!r})")
@@ -76,7 +75,8 @@ def base_reference(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
     hit = _BASE_CACHE.get(key)
     if hit is not None:
         return hit
-    x = (_l1_smooth_reference(F) if case is Case.Case2
+    x = (reference_minimize(F, tol) if case is Case.Case1
+         else _l1_smooth_reference(F) if case is Case.Case2
          else _hinge_reference(F, tol))
     x.setflags(write=False)
     _BASE_CACHE[key] = x
@@ -99,6 +99,16 @@ def _l1_smooth_reference(F) -> np.ndarray:
     L = F.smoothness
     if L <= 0.0:
         return np.zeros(d)
+    if F.loss == "logistic" and w == 0.0:
+        # a column whose nonzeros all give b_i a_ij one sign: moving x_j
+        # that way raises every margin it touches, so the loss falls forever
+        s = np.sign(F.data.values * np.repeat(b, np.diff(F.data.indptr)))
+        pos, neg = (np.bincount(F.data.indices, side, minlength=d) > 0
+                    for side in (s > 0, s < 0))
+        if np.any(pos != neg):
+            raise NumericalError(
+                "logistic loss without l1 has no minimizer: the data are "
+                f"separable along {np.sum(pos != neg)} feature axes")
     # FISTA warmup to localize the support, polished at each checkpoint
     # whose sign pattern held since the previous one; the last polish raises
     x = np.zeros(d)

@@ -606,19 +606,14 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
 # high-accuracy reference
 # ---------------------------------------------------------------------------
 
-_REFERENCE_CACHE: dict[tuple[str, float], np.ndarray] = {}
 _REFERENCE_ITER_CAP = 10 ** 7
 
 
 def reference_minimize(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
     """High-accuracy minimizer of a Case1 objective: APG in rounds until the
-    duality gap is at most tol.  Results are cached in-process by content
-    hash, so a repeated call returns the identical read-only array.
+    duality gap is at most tol.  Uncached: `references.base_reference`
+    keeps the one in-process cache of reference minimizers.
     """
-    key = (F.content_hash(), float(tol))
-    hit = _REFERENCE_CACHE.get(key)
-    if hit is not None:
-        return hit
     _require_case1(F, "reference_minimize")
     L, sigma = F.smoothness, F.strong_convexity
     chunk = max(25, _theory_iters("apg_hood", max(L, sigma), sigma))
@@ -643,18 +638,4 @@ def reference_minimize(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
         total += chunk
         if total > _REFERENCE_ITER_CAP:
             raise NumericalError("reference failed: iteration cap exceeded")
-    x = np.asarray(x, dtype=float)
-    x.setflags(write=False)
-    _REFERENCE_CACHE[key] = x
-    return x
-
-
-def exact_oracle(F: CompositeObjective, x0, policy=None, *, seed=None,
-                 pass_cap=None, baseline=None,
-                 tol: float = 1e-12) -> OracleReport:
-    """Test-mode oracle: returns the reference minimizer of F regardless of
-    policy or start, for verifying the reduction analysis independently of
-    inner-solver quality."""
-    x = reference_minimize(F, tol)
-    return OracleReport(
-        x_out=x, iterations=0, data_passes=0.0, final_stat=0.0, budget_used=0)
+    return np.asarray(x, dtype=float)

@@ -271,6 +271,13 @@ def test_cached_reference_disk_precedence(tmp_path):
         fh.write("1.0\n")
     with pytest.raises(DataError, match="wrong length"):
         cached_reference(F, "short", cache)
+    for key, entry, why in (("text", "1.0\nabc\n2.0\n", "unparsable"),
+                            ("nan", "1.0\nnan\n2.0\n", "not finite"),
+                            ("inf", "1.0\n-inf\n2.0\n", "not finite")):
+        with open(os.path.join(cache, key + ".ref"), "w") as fh:
+            fh.write(entry)
+        with pytest.raises(DataError, match=f"{key}.ref is {why}"):
+            cached_reference(F, key, cache)
 
 
 def test_cached_reference_writes_and_reloads(tmp_path):

@@ -11,11 +11,11 @@ import pytest
 from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
                          NumericalError, Regularizer, base_reference,
                          gen_classification, gen_regression,
-                         quadratic_reference, reference_minimize,
-                         run_experiment, write_dataset)
+                         quadratic_reference, run_experiment, write_dataset)
 from adaptreduce import data as data_mod
 from adaptreduce import harness, references
 from adaptreduce.cli import main
+from test_golden import sparsify
 
 
 def dense_ds(A, b):
@@ -156,26 +156,20 @@ def test_smoothed_hinge_reference_is_case1_dispatch():
 
 
 def test_base_reference_cache_identity():
-    rng = np.random.default_rng(96)
-    A = rng.normal(size=(15, 3))
-    b = rng.normal(size=15)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l1=0.05))
-    first = base_reference(F)
-    again = base_reference(F)
-    assert first is again            # in-memory cache hit
-    with pytest.raises(ValueError):
-        first[0] = 3.14              # read-only result
-    # equal content under a fresh but identical objective
-    F2 = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l1=0.05))
-    assert base_reference(F2) is first
-
-
-def test_case1_reference_is_the_reference_minimize_array():
-    rng = np.random.default_rng(97)
-    A = rng.normal(size=(15, 3))
-    b = rng.normal(size=15)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=0.2))
-    assert base_reference(F) is reference_minimize(F)
+    # one cache for every Case: a Case2 and a Case1 objective
+    for seed, reg in ((96, dict(l1=0.05)), (97, dict(l2=0.2))):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(15, 3))
+        b = rng.normal(size=15)
+        F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(**reg))
+        first = base_reference(F)
+        again = base_reference(F)
+        assert first is again            # in-memory cache hit
+        with pytest.raises(ValueError):
+            first[0] = 3.14              # read-only result
+        # equal content under a fresh but identical objective
+        F2 = CompositeObjective(dense_ds(A, b), "squared", Regularizer(**reg))
+        assert base_reference(F2) is first
 
 
 def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
@@ -245,6 +239,25 @@ def test_separable_logistic_has_no_reference(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 4
     assert "linearly separable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds, one_sided", [((67, 120, 40, 68), 6),
+                                              ((69, 100, 60, 70), 14)])
+def test_axis_separable_logistic_is_refused_before_fista(
+        monkeypatch, seeds, one_sided):
+    # some column's nonzeros all give b_i a_ij one sign, so the loss falls
+    # forever along that axis although not every margin is positive
+    def refuse(*args, **kwargs):
+        raise AssertionError("FISTA ran on axis-separable data")
+
+    gen_seed, n, d, sparsify_seed = seeds
+    data = sparsify(gen_classification(gen_seed, n, d, flip_fraction=0.2),
+                    sparsify_seed, keep=0.05)
+    F = CompositeObjective(data, "logistic", Regularizer())
+    monkeypatch.setattr(references, "soft_threshold", refuse)
+    with pytest.raises(NumericalError,
+                       match=f"separable along {one_sided} feature axes"):
+        base_reference(F)
 
 
 def test_overlapping_logistic_reference_certifies():

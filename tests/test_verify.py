@@ -147,6 +147,17 @@ def test_verify_bound_check_counts():
     assert len(verify_bound("adaptsmooth-d0", svm, x0, 2).checks) == 1
 
 
+def test_verify_bound_epoch_gaps_are_nonnegative():
+    # the lhs of these checks is D_t = F_t(warm start) - F_t(x_t*), which
+    # the exact oracle's minimizer keeps >= 0 up to rounding
+    rng = np.random.default_rng(79)
+    lasso, svm, _ = smoke_instances(rng)
+    x0 = rng.normal(size=5)
+    for name, F in (("adaptreg-recursion", lasso), ("adaptsmooth-d0", svm)):
+        checks = verify_bound(name, F, x0, 4).checks
+        assert checks and all(c.lhs >= -1e-12 for c in checks)
+
+
 def test_verify_bound_degenerate_and_invalid():
     rng = np.random.default_rng(104)
     lasso, _, _ = smoke_instances(rng)
