@@ -13,14 +13,13 @@ points at a flat "key = value" file whose entries the flags override.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError, DataError, NumericalError
-from .harness import (ExperimentConfig, build_objective, cached_reference,
+from .harness import (ExperimentConfig, build_objective, config_reference,
                       gen_classification, gen_regression, load_dataset,
-                      parse_config_file, reference_cache_key, run_experiment,
-                      sweep, sweep_summary, write_dataset)
+                      parse_config_file, run_experiment, sweep, sweep_summary,
+                      write_dataset)
 
 _CONFIG_FLAG_FIELDS = (
     "data_path", "task", "l1_weight", "l2_weight", "method", "oracle",
@@ -128,11 +127,8 @@ def _cmd_reference(args) -> int:
     config.validate()
     data = load_dataset(config)
     F = build_objective(data, config.task, config.l1_weight, config.l2_weight)
-    key = reference_cache_key(data, config.task, config.l1_weight,
-                              config.l2_weight, config.normalize)
-    cache_dir = os.path.join(config.out_dir, "_refcache")
-    x_ref = cached_reference(F, key, cache_dir)
-    print(f"reference cached at {os.path.join(cache_dir, key + '.ref')}")
+    x_ref, path = config_reference(config, data, F)
+    print(f"reference cached at {path}")
     print(f"objective value at reference: {F.full_value(x_ref)!r}")
     return 0
 

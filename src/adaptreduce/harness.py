@@ -185,15 +185,10 @@ def _check_compatibility(config: ExperimentConfig, F: CompositeObjective) -> Non
         raise ConfigError(
             f"method {config.method} requires a {need[config.method].name} "
             f"objective, but task {config.task} with these weights is {case.name}")
-    if config.method == "direct":
-        if config.oracle == "sdca":
-            if F.strong_convexity <= 0.0:
-                raise ConfigError(
-                    "direct sdca needs a strongly convex regularizer")
-        elif case is not Case.Case1:
-            raise ConfigError(
-                f"direct {config.oracle} requires a Case1 objective; "
-                f"task {config.task} with these weights is {case.name}")
+    if config.method == "direct" and case is not Case.Case1:
+        raise ConfigError(
+            f"direct {config.oracle} requires a Case1 objective; "
+            f"task {config.task} with these weights is {case.name}")
     if config.method == "classical-reg" and config.sigma is None:
         raise ConfigError("classical-reg requires --sigma")
     if config.method == "classical-smooth" and config.lam is None:
@@ -254,6 +249,17 @@ def cached_reference(F: CompositeObjective, key: str,
     return x
 
 
+def config_reference(config: ExperimentConfig, data: Dataset,
+                     F: CompositeObjective) -> tuple[np.ndarray, str]:
+    """The reference minimizer of F for this config, through the disk cache
+    under out_dir/_refcache, and the path of its cache entry."""
+    key = reference_cache_key(data, config.task, config.l1_weight,
+                              config.l2_weight, config.normalize)
+    cache_dir = os.path.join(config.out_dir, "_refcache")
+    return (cached_reference(F, key, cache_dir),
+            os.path.join(cache_dir, key + ".ref"))
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 # ---------------------------------------------------------------------------
@@ -304,10 +310,7 @@ def run_experiment(config: ExperimentConfig,
     F = build_objective(data, config.task, config.l1_weight, config.l2_weight)
     _check_compatibility(config, F)
 
-    key = reference_cache_key(data, config.task, config.l1_weight,
-                              config.l2_weight, config.normalize)
-    cache_dir = os.path.join(config.out_dir, "_refcache")
-    x_ref = cached_reference(F, key, cache_dir)
+    x_ref, _ = config_reference(config, data, F)
     F_star = float(F.full_value(x_ref))
 
     x0 = np.zeros(F.dim)

@@ -137,18 +137,6 @@ class CompositeObjective:
             g = g + self.reg.differentiable_gradient(x)
         return g
 
-    def stochastic_gradient(self, i: int, x) -> np.ndarray:
-        """f_i'(<a_i, x>) * a_i as a dense vector (subgradient at kinks)."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        x = np.asarray(x, dtype=float)
-        z = data_mod.row_dot(self.data, i, x)
-        d = self.scalar_deriv(z, float(self.data.labels[i]))
-        out = np.zeros(self.dim)
-        idx, val = self.data.row(i)
-        out[idx] = d * val
-        return out
-
     @property
     def scalar_deriv(self):
         """(z, b) -> f'(z) for one margin z with label b, as a float: the

@@ -211,34 +211,31 @@ def _classical(F_fixed, oracle, x0, policy, sigma, lam, *, seed, pass_budget,
                   pass_budget=pass_budget, stalled=stalled)
 
 
-def classical_reg(F, oracle, x0, sigma: float, *, policy=None, seed=None,
+def classical_reg(F, oracle, x0, sigma: float, *, seed=None,
                   pass_budget=None, target_stat=None):
-    """Classical regularization baseline: fix sigma once, run the oracle on
-    F + sigma/2 |x - x0|^2 until the statistic stalls, reaches target_stat,
-    or the pass budget runs out.  Converges to the REGULARIZED minimizer,
-    which sits up to (sigma/2) |x0 - x*|^2 above the true optimum."""
+    """Classical regularization baseline: fix sigma once, run the oracle
+    under PracticalGapQuarter on F + sigma/2 |x - x0|^2 until the statistic
+    stalls, reaches target_stat, or the pass budget runs out.  Converges to
+    the REGULARIZED minimizer, which sits up to (sigma/2) |x0 - x*|^2 above
+    the true optimum."""
     _require_case(F, Case.Case2, "classical_reg")
     if sigma <= 0.0:
         raise ConfigError("classical_reg needs sigma > 0")
-    if policy is None:
-        policy = PracticalGapQuarter()
     F_fixed = F.regularize(sigma, np.array(x0, dtype=float))
-    return _classical(F_fixed, oracle, x0, policy, sigma, 0.0,
+    return _classical(F_fixed, oracle, x0, PracticalGapQuarter(), sigma, 0.0,
                       seed=seed, pass_budget=pass_budget,
                       target_stat=target_stat)
 
 
-def classical_smooth(F, oracle, x0, lam: float, *, policy=None, seed=None,
+def classical_smooth(F, oracle, x0, lam: float, *, seed=None,
                      pass_budget=None, target_stat=None):
-    """Classical smoothing baseline: fix lambda once, run the oracle on the
-    smoothed objective.  The plateau on the original F is at most
-    lam G^2 / 2 above the optimum (smoothing underestimates by at most
-    that much pointwise)."""
+    """Classical smoothing baseline: fix lambda once, run the oracle under
+    PracticalGradThird on the smoothed objective.  The plateau on the
+    original F is at most lam G^2 / 2 above the optimum (smoothing
+    underestimates by at most that much pointwise)."""
     _require_case(F, Case.Case3, "classical_smooth")
     if lam <= 0.0:
         raise ConfigError("classical_smooth needs lambda > 0")
-    if policy is None:
-        policy = PracticalGradThird()
-    return _classical(F.smooth(lam), oracle, x0, policy, 0.0, lam,
-                      seed=seed, pass_budget=pass_budget,
+    return _classical(F.smooth(lam), oracle, x0, PracticalGradThird(), 0.0,
+                      lam, seed=seed, pass_budget=pass_budget,
                       target_stat=target_stat)

@@ -15,11 +15,11 @@ in-process reference cache, for every class (`harness` keeps the disk one).
   whose sign pattern equals the previous one, and the first certified
   point is the reference.  Smoothed non-Case1 objectives are refused.
 - Case3 (hinge, psi strongly convex): exact dual coordinate ascent on the
-  box-constrained dual (Hsieh et al. 2008) is the warm-up, one
-  `solvers._sdca_coordinate` hinge step per row in a fixed-seed random
-  order each epoch.  Every `_DCA_POLISH_EVERY` epochs the margin polish is
-  tried, and the first certified point whose duality gap at the polish's
-  multipliers is at most `tol` is the reference.
+  box-constrained dual (Hsieh et al. 2008) is the warm-up: each epoch,
+  `solvers._sdca_sweeper` (sdca_hood's coordinate step) sweeps every row
+  once, in a fixed-seed random order.  Every `_DCA_POLISH_EVERY` epochs
+  the margin polish is tried, and the first certified point whose duality
+  gap at the polish's multipliers is at most `tol` is the reference.
 - Case4 (hinge, psi = l1): the package's own smoothing reduction is the
   warm-up, joint_adapt's halving smoothing and regularization centred at
   the origin, run by `reductions._drive` over `apg_hood`.  After every
@@ -41,7 +41,7 @@ from .errors import NumericalError
 from .objectives import Case, CompositeObjective
 from .reductions import HALVING, _drive
 from .regularizers import soft_threshold
-from .solvers import (FixedIterations, _sdca_coordinate, apg_hood,
+from .solvers import (FixedIterations, _sdca_sweeper, apg_hood,
                       reference_minimize)
 
 _BASE_CACHE: dict[str, np.ndarray] = {}
@@ -233,30 +233,17 @@ def _hinge_reference(F, tol) -> np.ndarray:
 
 
 def _svm_reference(F, tol) -> np.ndarray:
-    """Case3 warm-up: exact dual coordinate ascent from alpha = 0, with
-    sdca_hood's coordinate step and row-local v/x update, polished every
-    _DCA_POLISH_EVERY epochs."""
+    """Case3 warm-up: exact dual coordinate ascent from alpha = 0 by
+    sdca_hood's sweep, polished every _DCA_POLISH_EVERY epochs."""
     n = F.n
-    reg = F.reg
-    rows = [F.data.row(i) for i in range(n)]
-    labels = F.data.labels.tolist()
-    q = (F.data.row_sq_norms() / (reg.strong_convexity * n)).tolist()
     alpha = [0.0] * n
     v = np.zeros(F.dim)
-    x = reg.conjugate_argmax(v)
+    x = F.reg.conjugate_argmax(v)
+    sweep = _sdca_sweeper(F, 0.0, alpha, v, x)
     rng = np.random.default_rng(_DCA_SEED)
     last = "no epoch ran"
     for epoch in range(1, _DCA_EPOCH_CAP + 1):
-        for i in rng.permutation(n).tolist():
-            ridx, rval = rows[i]
-            s = _sdca_coordinate("hinge", labels[i], 0.0, alpha[i],
-                                 float(rval @ x[ridx]), q[i])
-            delta = s - alpha[i]
-            if delta != 0.0:
-                alpha[i] = s
-                vi = v[ridx] - (delta / n) * rval
-                v[ridx] = vi
-                x[ridx] = reg.conjugate_argmax(vi, ridx)
+        sweep(rng.permutation(n).tolist())
         if epoch % _DCA_POLISH_EVERY:
             continue
         for margin_tol in _MARGIN_TOLS:

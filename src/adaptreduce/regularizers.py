@@ -10,7 +10,7 @@ have closed forms built on soft-thresholding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class Regularizer:
     @property
     def strong_convexity(self) -> float:
         return self.l2 + self.shift_weight
-
-    @property
-    def is_zero(self) -> bool:
-        return self.l1 == 0.0 and self.strong_convexity == 0.0 and self.const == 0.0
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -14,6 +14,18 @@ where `baseline` is the statistic the caller's previous oracle call
 recorded last (its report's recorded_stat); the practical policies measure
 their decrease against it.  Policies carry no state between calls.
 
+Each oracle keeps its books in one `_Run`, which holds the contract:
+- budget: TheoryBudget runs the oracle's own certified step count,
+  FixedIterations its k; under a practical policy there is none, and the
+  policy, the pass cap or the statistic floor stops the run;
+- `check(x, reserve)` pays one pass for the policy's statistic at x and
+  records it, and says stop when the policy is met or that pass and
+  `reserve` more would not fit under the cap; a free statistic (a gradient
+  norm where the gradient is in hand) is recorded unpaid;
+- `finish(x, iterations, use_gap)` returns the report, after a budgeted run
+  that took a step pays for its closing statistic (the duality gap or the
+  gradient norm) if it fits under the cap.
+
 Pass accounting: one full-gradient or statistic evaluation costs one pass
 over the data; one stochastic step costs 1/n.  A gradient-norm statistic
 evaluated at a point whose full gradient was just computed (SVRG snapshots,
@@ -62,15 +74,13 @@ class PracticalGapQuarter:
     the previous epoch recorded last, handed in by the caller (or the first
     gap recorded when there is none).
 
-    check_interval is in stochastic-step units; None means ceil(n/3).
+    The gap is checked every ceil(n/3) stochastic steps, and at every
+    iteration of the full-gradient solvers (ceil(n/3)/n rounds to at most 1).
     """
 
-    check_interval: int | None = None
     factor = 0.25
 
     def interval(self, n: int) -> int:
-        if self.check_interval is not None:
-            return max(1, int(self.check_interval))
         return max(1, math.ceil(n / 3))
 
     def stat(self, F: CompositeObjective, x) -> float:
@@ -88,15 +98,13 @@ class PracticalGradThird:
     quadratic in psi the f-gradient alone does not vanish at the minimizer,
     so the one-third rule would stall on it.
 
-    snapshot_interval is in stochastic-step units; None means 2n.
+    The norm is checked every 2n stochastic steps (SVRG's snapshot interval,
+    where it is free) and every 2 iterations of the full-gradient solvers.
     """
 
-    snapshot_interval: int | None = None
     factor = 1.0 / 3.0
 
     def interval(self, n: int) -> int:
-        if self.snapshot_interval is not None:
-            return max(1, int(self.snapshot_interval))
         return max(1, 2 * n)
 
     def stat(self, F: CompositeObjective, x) -> float:
@@ -117,6 +125,7 @@ class FixedIterations:
 TerminationPolicy = Union[TheoryBudget, PracticalGapQuarter, PracticalGradThird,
                           FixedIterations]
 _PRACTICAL = (PracticalGapQuarter, PracticalGradThird)
+_NEVER = 2 ** 62  # a step count no run reaches: no cap, or no statistic due
 
 
 @dataclass
@@ -124,22 +133,35 @@ class OracleReport:
     x_out: np.ndarray
     iterations: int
     data_passes: float
-    final_stat: float
-    budget_used: int
     full_evals: int = 0
     sample_evals: int = 0
     recorded_stat: float | None = None  # last statistic recorded, if any
 
+    @property
+    def final_stat(self) -> float:
+        """The last statistic recorded, clipped at 0 (0 when none was)."""
+        if self.recorded_stat is None:
+            return 0.0
+        return max(float(self.recorded_stat), 0.0)
+
 
 class _Run:
-    """Shared bookkeeping for one solver invocation: pass counters, the
-    practical-policy baseline, and the pass cap."""
+    """Bookkeeping for one oracle call: the step budget, pass counters, the
+    practical policy's statistic checks against its baseline, and the pass
+    cap.  `theory` is the oracle's TheoryBudget step count."""
 
-    def __init__(self, F, policy, pass_cap, baseline):
+    def __init__(self, F, policy, pass_cap, baseline, theory: int):
         self.F = F
         self.n = max(F.n, 1)
         self.policy = policy if isinstance(policy, _PRACTICAL) else None
         self.baseline = baseline if self.policy else None
+        if isinstance(policy, TheoryBudget):
+            self.budget = theory
+        elif isinstance(policy, FixedIterations):
+            self.budget = policy.k
+        else:
+            self.budget = None  # the policy, the cap or the floor stops it
+        self.interval = self.policy.interval(self.n) if self.policy else _NEVER
         self.latest: float | None = None
         self.pass_cap = pass_cap
         self.full = 0
@@ -158,7 +180,7 @@ class _Run:
     def sample_room(self) -> int:
         """How many more stochastic steps fit under the cap."""
         if self.pass_cap is None:
-            return 2 ** 62
+            return _NEVER
         left = (self.pass_cap + 1e-9 - self.passes) * self.n
         return max(0, int(math.floor(left)))
 
@@ -172,14 +194,26 @@ class _Run:
             return False
         return self.latest < self.policy.factor * self.baseline
 
-    def finish(self, x, iterations, budget) -> OracleReport:
-        stat = self.latest if self.latest is not None else 0.0
+    def check(self, x, reserve=0) -> bool:
+        """Pay one pass for the policy's statistic at x and record it; True
+        means stop: the policy is met, or that pass and `reserve` more do
+        not fit under the cap."""
+        if not self.room_for(full=1 + reserve):
+            return True
+        self.full += 1
+        return self.record(self.policy.stat(self.F, x))
+
+    def finish(self, x, iterations, use_gap=False) -> OracleReport:
+        """The report.  A budgeted run that took a step first pays for its
+        closing statistic, the duality gap or the gradient norm, if it fits."""
+        if self.budget is not None and iterations > 0 and self.room_for(full=1):
+            self.full += 1
+            self.latest = (self.F.duality_gap(x) if use_gap
+                           else self.F.grad_norm(x, include_quadratic_reg=True))
         return OracleReport(
             x_out=np.asarray(x, dtype=float),
             iterations=iterations,
             data_passes=self.passes,
-            final_stat=max(float(stat), 0.0),
-            budget_used=budget,
             full_evals=self.full,
             sample_evals=self.samples,
             recorded_stat=self.latest,
@@ -202,30 +236,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _budget_final_stat(run: _Run, F, x, use_gap: bool):
-    """Record an end-of-run statistic for TheoryBudget/FixedIterations."""
-    if run.latest is None and run.room_for(full=1):
-        run.full += 1
-        if use_gap:
-            run.latest = F.duality_gap(x)
-        else:
-            run.latest = F.grad_norm(x, include_quadratic_reg=True)
-
-
 def _theory_iters(who: str, L: float, sigma: float) -> int:
     if who == "prox_gd_hood":
         return max(1, math.ceil(math.log(4.0) * L / sigma))
     if who == "apg_hood":
         return max(1, math.ceil(math.log(8.0) * math.sqrt(L / sigma)))
     raise AssertionError(who)
-
-
-def _deterministic_budget(policy, who, L, sigma):
-    if isinstance(policy, TheoryBudget):
-        return _theory_iters(who, L, sigma)
-    if isinstance(policy, FixedIterations):
-        return policy.k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +261,30 @@ def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
     L, sigma = F.smoothness, F.strong_convexity
     if L <= 0.0:
         L = sigma  # constant f: any positive step; prox does all the work
-    run = _Run(F, policy, pass_cap, baseline)
-    n = run.n
-    budget = _deterministic_budget(policy, "prox_gd_hood", L, sigma)
-    check_every = None
-    if run.policy is not None:
-        check_every = max(1, round(run.policy.interval(n) / n))
+    run = _Run(F, policy, pass_cap, baseline,
+               _theory_iters("prox_gd_hood", L, sigma))
+    check_every = max(1, round(run.interval / run.n))
 
     x = np.array(x0, dtype=float)
     it = 0
-    while budget is None or it < budget:
+    while run.budget is None or it < run.budget:
         if it > _ITER_GUARD:
             raise NumericalError("prox_gd_hood exceeded the iteration guard")
         if not run.room_for(full=1):
             break
-        due = check_every is not None and it > 0 and it % check_every == 0
-        if due and isinstance(run.policy, PracticalGapQuarter):
-            if not run.room_for(full=2):
-                break
-            run.full += 1
-            if run.record(run.policy.stat(F, x)):
-                break
+        due = it > 0 and it % check_every == 0
+        if (due and isinstance(run.policy, PracticalGapQuarter)
+                and run.check(x, reserve=1)):
+            break
         g = F.full_gradient(x)
         run.full += 1
         if due and isinstance(run.policy, PracticalGradThird):
             # free: reuses g, adds only psi's closed-form quadratic gradient
-            stat = np.linalg.norm(g + F.reg.differentiable_gradient(x))
-            if run.record(stat):
+            if run.record(np.linalg.norm(g + F.reg.differentiable_gradient(x))):
                 break
         x = F.prox(x - g / L, 1.0 / L)
         it += 1
-
-    if isinstance(policy, (TheoryBudget, FixedIterations)) and it > 0:
-        _budget_final_stat(run, F, x, use_gap=False)
-    return run.finish(x, it, budget or 0)
+    return run.finish(x, it)
 
 
 def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
@@ -299,37 +305,27 @@ def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     if L > sigma:
         rL, rS = math.sqrt(L), math.sqrt(sigma)
         beta = (rL - rS) / (rL + rS)
-    run = _Run(F, policy, pass_cap, baseline)
-    n = run.n
-    budget = _deterministic_budget(policy, "apg_hood", L, sigma)
-    check_every = None
-    if run.policy is not None:
-        check_every = max(1, round(run.policy.interval(n) / n))
+    run = _Run(F, policy, pass_cap, baseline,
+               _theory_iters("apg_hood", L, sigma))
+    check_every = max(1, round(run.interval / run.n))
 
     x = np.array(x0, dtype=float)
     y = x.copy()
     it = 0
-    while budget is None or it < budget:
+    while run.budget is None or it < run.budget:
         if it > _ITER_GUARD:
             raise NumericalError("apg_hood exceeded the iteration guard")
         if not run.room_for(full=1):
             break
-        if check_every is not None and it > 0 and it % check_every == 0:
-            if not run.room_for(full=2):
-                break
-            run.full += 1
-            if run.record(run.policy.stat(F, x)):
-                break
+        if it > 0 and it % check_every == 0 and run.check(x, reserve=1):
+            break
         g = F.full_gradient(y)
         run.full += 1
         x_new = F.prox(y - g / L, 1.0 / L)
         y = x_new + beta * (x_new - x)
         x = x_new
         it += 1
-
-    if isinstance(policy, (TheoryBudget, FixedIterations)) and it > 0:
-        _budget_final_stat(run, F, x, use_gap=False)
-    return run.finish(x, it, budget or 0)
+    return run.finish(x, it)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +360,9 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     last inner iterate.
 
     Snapshot loss derivatives are cached, so an inner step evaluates one
-    fresh derivative (1/n of a pass).  A gradient-norm statistic at a
-    snapshot is free (the snapshot gradient is in hand); under the
-    gradient-norm policy the snapshot interval is the policy's interval.
+    fresh derivative (1/n of a pass).  Outside TheoryBudget m = 2n, the
+    gradient-norm policy's interval: its statistic is taken at each
+    snapshot, free, since the snapshot gradient is in hand.
     """
     _require_case1(F, "svrg_hood")
     if F.n < 1:
@@ -374,37 +370,23 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     L, sigma = F.smoothness, F.strong_convexity
     eta = 1.0 / L
     n = F.n
-    run = _Run(F, policy, pass_cap, baseline)
+    outer, m = _svrg_theory(n, L, sigma)
+    run = _Run(F, policy, pass_cap, baseline, outer * m)
+    if not isinstance(policy, TheoryBudget):
+        m = 2 * n
+    gap_every = (run.interval if isinstance(run.policy, PracticalGapQuarter)
+                 else _NEVER)
     rng = _rng(seed)
-
-    if isinstance(policy, TheoryBudget):
-        outer, m = _svrg_theory(n, L, sigma)
-        total_budget = outer * m
-    elif isinstance(policy, FixedIterations):
-        m = 2 * n
-        total_budget = policy.k
-    else:
-        m = 2 * n
-        total_budget = None
-    gap_every = None
-    if isinstance(run.policy, PracticalGapQuarter):
-        gap_every = run.policy.interval(n)
-    elif isinstance(run.policy, PracticalGradThird):
-        m = run.policy.interval(n)
 
     rows = [F.data.row(i) for i in range(n)]
     labels = F.data.labels.tolist()
     deriv = F.scalar_deriv
     prox = F.reg.prox_map(eta)
     x = np.array(x0, dtype=float)
-    steps = 0
     since_gap = 0
-    stopped = False
-    while not stopped:
-        if steps > _ITER_GUARD:
+    while run.budget is None or run.samples < run.budget:
+        if run.samples > _ITER_GUARD:
             raise NumericalError("svrg_hood exceeded the iteration guard")
-        if total_budget is not None and steps >= total_budget:
-            break
         if not run.room_for(full=1, samples=1):
             break
         # snapshot
@@ -412,40 +394,35 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         d_tilde = np.asarray(F.loss_derivs(z_tilde), dtype=float)
         mu = data_mod.rmatvec(F.data, d_tilde) / n
         run.full += 1
-        if isinstance(run.policy, PracticalGradThird):
-            stat = np.linalg.norm(mu + F.reg.differentiable_gradient(x))
-            if run.record(stat):
-                break
-        # inner loop
-        todo = m
-        if total_budget is not None:
-            todo = min(todo, total_budget - steps)
-        todo = min(todo, run.sample_room())
+        if isinstance(run.policy, PracticalGradThird) and run.record(
+                np.linalg.norm(mu + F.reg.differentiable_gradient(x))):
+            break
+        # inner loop, in segments ending at each gap check; a check costs a
+        # pass, so the draws left after it shrink to the room it leaves
+        todo = min(m, run.sample_room())
+        if run.budget is not None:
+            todo = min(todo, run.budget - run.samples)
         if todo <= 0:
             break
         d_list = d_tilde.tolist()
-        for i in rng.integers(0, n, size=m)[:todo].tolist():
-            ridx, rval = rows[i]
-            di = deriv(float(rval @ x[ridx]), labels[i])
-            v = mu.copy()
-            v[ridx] += (di - d_list[i]) * rval
-            x = prox(x - eta * v)
-            steps += 1
-            run.samples += 1
-            since_gap += 1
-            if gap_every is not None and since_gap >= gap_every:
+        draws = rng.integers(0, n, size=m)[:todo].tolist()
+        while draws:
+            cut = gap_every - since_gap
+            segment, draws = draws[:cut], draws[cut:]
+            for i in segment:
+                ridx, rval = rows[i]
+                di = deriv(float(rval @ x[ridx]), labels[i])
+                v = mu.copy()
+                v[ridx] += (di - d_list[i]) * rval
+                x = prox(x - eta * v)
+            run.samples += len(segment)
+            since_gap += len(segment)
+            if since_gap == gap_every:
                 since_gap = 0
-                if not run.room_for(full=1):
-                    stopped = True
-                    break
-                run.full += 1
-                if run.record(run.policy.stat(F, x)):
-                    stopped = True
-                    break
-
-    if isinstance(policy, (TheoryBudget, FixedIterations)) and steps > 0:
-        _budget_final_stat(run, F, x, use_gap=False)
-    return run.finish(x, steps, total_budget or 0)
+                if run.check(x):
+                    return run.finish(x, run.samples)
+                del draws[run.sample_room():]
+    return run.finish(x, run.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +488,33 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
     return -b * (1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e))
 
 
+def _sdca_sweeper(F, lam, alpha, v, x):
+    """A function that takes exact coordinate steps on a list of rows, in
+    order.  Each step maximizes the lam-smoothed dual in alpha[i] and moves
+    v = -(1/n) sum_i alpha_i a_i and x = psi's conjugate maximizer at v on
+    row i's support only (psi is separable).  The caller's alpha (a list),
+    v and x are updated in place."""
+    n = F.n
+    rows = [F.data.row(i) for i in range(n)]
+    labels = F.data.labels.tolist()
+    q = (F.data.row_sq_norms() / (F.strong_convexity * n)).tolist()
+    loss, conjugate_argmax = F.loss, F.reg.conjugate_argmax
+
+    def sweep(indices):
+        for i in indices:
+            ridx, rval = rows[i]
+            s = _sdca_coordinate(loss, labels[i], lam, alpha[i],
+                                 float(rval @ x[ridx]), q[i])
+            delta = s - alpha[i]
+            if delta != 0.0:
+                alpha[i] = s
+                vi = v[ridx] - (delta / n) * rval
+                v[ridx] = vi
+                x[ridx] = conjugate_argmax(vi, ridx)
+
+    return sweep
+
+
 def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
               baseline=None) -> OracleReport:
     """Proximal stochastic dual coordinate ascent with exact per-coordinate
@@ -529,21 +533,11 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     if sigma <= 0.0:
         raise ConfigError("sdca_hood: dual undefined without strong convexity in psi")
     n = F.n
-    L = F.smoothness
-    lam = 0.0 if F.smoothing is None else F.smoothing
-    run = _Run(F, policy, pass_cap, baseline)
+    run = _Run(F, policy, pass_cap, baseline,
+               max(1, math.ceil(n + F.smoothness / sigma)))
     rng = _rng(seed)
-
-    if isinstance(policy, TheoryBudget):
-        total_budget = max(1, math.ceil(n + L / sigma))
-    elif isinstance(policy, FixedIterations):
-        total_budget = policy.k
-    else:
-        total_budget = None
-    check_every = run.policy.interval(n) if run.policy is not None else None
-
-    if total_budget == 0 or not run.room_for(full=1, samples=1):
-        return run.finish(np.array(x0, dtype=float), 0, total_budget or 0)
+    if run.budget == 0 or not run.room_for(full=1, samples=1):
+        return run.finish(np.array(x0, dtype=float), 0)
 
     # initialize duals from x0 (one pass over the data)
     z0 = F.margins(x0)
@@ -551,55 +545,33 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     run.full += 1
     v = -data_mod.rmatvec(F.data, alpha) / n
     x = F.reg.conjugate_argmax(v)
-    alpha = alpha.tolist()
-    rows = [F.data.row(i) for i in range(n)]
-    labels = F.data.labels.tolist()
-    q = (F.data.row_sq_norms() / (sigma * n)).tolist()
+    sweep = _sdca_sweeper(F, 0.0 if F.smoothing is None else F.smoothing,
+                          alpha.tolist(), v, x)
 
-    steps = 0
     since_check = 0
-    chunk = 4096
-    stopped = False
-    while not stopped:
-        if steps > _ITER_GUARD:
+    while run.budget is None or run.samples < run.budget:
+        if run.samples > _ITER_GUARD:
             raise NumericalError("sdca_hood exceeded the iteration guard")
-        if total_budget is not None and steps >= total_budget:
-            break
-        todo = chunk if total_budget is None else min(chunk, total_budget - steps)
-        room = run.sample_room()  # counts down; each statistic check resets it
-        todo = min(todo, room)
+        todo = min(4096, run.sample_room())
+        if run.budget is not None:
+            todo = min(todo, run.budget - run.samples)
         if todo <= 0:
             break
-        for i in rng.integers(0, n, size=todo).tolist():
-            if (room := room - 1) < 0:
-                break
-            ridx, rval = rows[i]
-            s = _sdca_coordinate(F.loss, labels[i], lam, alpha[i],
-                                 float(rval @ x[ridx]), q[i])
-            delta = s - alpha[i]
-            if delta != 0.0:
-                alpha[i] = s
-                vi = v[ridx] - (delta / n) * rval
-                v[ridx] = vi
-                # psi is separable and v moved on row i's support only
-                x[ridx] = F.reg.conjugate_argmax(vi, ridx)
-            steps += 1
-            run.samples += 1
-            since_check += 1
-            if check_every is not None and since_check >= check_every:
+        chunk = rng.integers(0, n, size=todo).tolist()
+        # swept in segments ending at each statistic check; a check costs a
+        # pass, so what is left of the chunk shrinks to the room it leaves
+        while chunk:
+            cut = run.interval - since_check
+            segment, chunk = chunk[:cut], chunk[cut:]
+            sweep(segment)
+            run.samples += len(segment)
+            since_check += len(segment)
+            if since_check == run.interval:
                 since_check = 0
-                if not run.room_for(full=1):
-                    stopped = True
-                    break
-                run.full += 1
-                if run.record(run.policy.stat(F, x)):
-                    stopped = True
-                    break
-                room = run.sample_room()
-
-    if isinstance(policy, (TheoryBudget, FixedIterations)) and steps > 0:
-        _budget_final_stat(run, F, x, use_gap=True)
-    return run.finish(x, steps, total_budget or 0)
+                if run.check(x):
+                    return run.finish(x, run.samples)
+                del chunk[run.sample_room():]
+    return run.finish(x, run.samples, use_gap=True)
 
 
 # ---------------------------------------------------------------------------

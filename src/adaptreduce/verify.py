@@ -165,7 +165,7 @@ def exact_oracle(F: CompositeObjective, x0, policy=None, *, seed=None,
     policy or start, for verifying the reduction analysis independently of
     inner-solver quality."""
     return OracleReport(x_out=base_reference(F), iterations=0,
-                        data_passes=0.0, final_stat=0.0, budget_used=0)
+                        data_passes=0.0)
 
 
 # ---------------------------------------------------------------------------

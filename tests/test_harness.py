@@ -82,7 +82,7 @@ def test_build_objective_weight_matrix():
             build_objective(data, task, l1, l2)
 
 
-def test_compatibility_gate(ridge_file, class_file):
+def test_compatibility_gate(tmp_path, ridge_file, class_file):
     # lasso is smooth without strong convexity: smoothing methods reject it
     c = cfg(data_path=ridge_file, task="lasso", l1_weight=0.05,
             method="adaptsmooth", oracle="apg")
@@ -97,15 +97,22 @@ def test_compatibility_gate(ridge_file, class_file):
             method="classical-smooth", oracle="apg")
     with pytest.raises(ConfigError, match="lam"):
         run_experiment(c, write=False)
-    # direct solvers need Case1 (or strong convexity for sdca)
+    # direct solvers need Case1
     c = cfg(data_path=ridge_file, task="lasso", l1_weight=0.05,
             method="direct", oracle="apg")
     with pytest.raises(ConfigError, match="Case1"):
         run_experiment(c, write=False)
     c = cfg(data_path=ridge_file, task="lasso", l1_weight=0.05,
             method="direct", oracle="sdca")
-    with pytest.raises(ConfigError, match="strongly convex"):
+    with pytest.raises(ConfigError, match="Case1"):
         run_experiment(c, write=False)
+    # svm is strongly convex but nonsmooth: refused before its reference is
+    # solved, so nothing is cached
+    c = cfg(data_path=class_file, task="svm", l2_weight=0.3, method="direct",
+            oracle="sdca", out_dir=str(tmp_path / "runs"))
+    with pytest.raises(ConfigError, match="direct sdca requires a Case1"):
+        run_experiment(c, write=False)
+    assert not (tmp_path / "runs" / "_refcache").exists()
 
 
 def test_missing_data_file():

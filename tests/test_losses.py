@@ -234,7 +234,7 @@ def test_smoothed_deriv_is_the_value_and_deriv_derivative():
 
 
 def test_scalar_deriv_is_bit_equal_to_the_vector_functions():
-    # the SVRG step and stochastic_gradient call scalar_deriv: its floats
+    # the SVRG step calls scalar_deriv: its floats
     # must be the vector functions' floats, kinks and signed zeros included
     for kind in KINDS:
         for lam in (None, 0.05, 0.5, 2.0):

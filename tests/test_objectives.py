@@ -127,27 +127,6 @@ def test_nonsmooth_gradient_requires_opt_in():
     F.smooth(0.1).full_gradient(x)
 
 
-def test_stochastic_gradient_unbiased():
-    rng = np.random.default_rng(35)
-    for loss, lam in (("squared", None), ("logistic", None), ("hinge", 0.25)):
-        F = random_objective(rng, loss, Regularizer(l2=0.3), smoothing=lam)
-        x = rng.normal(size=F.dim)
-        mean = np.zeros(F.dim)
-        for i in range(F.n):
-            mean += F.stochastic_gradient(i, x)
-        mean /= F.n
-        np.testing.assert_allclose(mean, F.full_gradient(x), atol=1e-12)
-
-
-def test_stochastic_gradient_index_range():
-    rng = np.random.default_rng(36)
-    F = random_objective(rng, "squared", Regularizer())
-    with pytest.raises(IndexError):
-        F.stochastic_gradient(F.n, np.zeros(F.dim))
-    with pytest.raises(IndexError):
-        F.stochastic_gradient(-1, np.zeros(F.dim))
-
-
 # ---------------------------------------------------------------------------
 # duality gap
 # ---------------------------------------------------------------------------

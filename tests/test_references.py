@@ -13,7 +13,7 @@ from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
                          gen_classification, gen_regression,
                          quadratic_reference, run_experiment, write_dataset)
 from adaptreduce import data as data_mod
-from adaptreduce import harness, references
+from adaptreduce import harness, references, solvers
 from adaptreduce.cli import main
 from test_golden import sparsify
 
@@ -181,7 +181,7 @@ def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
     F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
                            Regularizer(l2=0.05))
     monkeypatch.setattr(references, "apg_hood", refuse)
-    steps = count_calls(monkeypatch, "_sdca_coordinate")
+    steps = count_calls(monkeypatch, "_sdca_coordinate", solvers)
     x = base_reference(F)
     assert len(steps) > 0
     assert len(steps) % (references._DCA_POLISH_EVERY * F.n) == 0
@@ -286,16 +286,16 @@ def test_l1_polish_grows_the_support_from_zero():
     np.testing.assert_allclose(x, base_reference(F), atol=1e-12)
 
 
-def count_calls(monkeypatch, name):
-    # wrap references.<name> with a call counter; start from an empty cache
+def count_calls(monkeypatch, name, module=references):
+    # wrap module.<name> with a call counter; start from an empty cache
     calls = []
-    real = getattr(references, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(references, name, counted)
+    monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(references, "_BASE_CACHE", {})
     return calls
 

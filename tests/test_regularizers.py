@@ -48,11 +48,9 @@ def test_constructor_validation():
 
 
 def test_strong_convexity_and_is_zero():
-    assert Regularizer().is_zero
     assert Regularizer(l1=0.5).strong_convexity == 0.0
     reg = Regularizer(l2=0.3, shift_weight=0.2, shift_center=np.zeros(3))
     assert reg.strong_convexity == pytest.approx(0.5)
-    assert not reg.is_zero
 
 
 def test_prox_closed_form_anchors():

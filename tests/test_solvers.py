@@ -49,9 +49,9 @@ ONE_D = CompositeObjective(dense_ds(np.array([[1.0]]), np.array([3.0])),
 def test_theory_iteration_counts():
     # L = sigma = 1: prox-GD budget ceil(ln 4) = 2, APG budget ceil(ln 8) = 3
     r = prox_gd_hood(ONE_D, np.zeros(1), TheoryBudget())
-    assert r.budget_used == 2 and r.iterations == 2
+    assert r.iterations == 2
     r = apg_hood(ONE_D, np.zeros(1), TheoryBudget())
-    assert r.budget_used == 3 and r.iterations == 3
+    assert r.iterations == 3
 
 
 def test_theory_budget_formula_scaling():
@@ -59,13 +59,13 @@ def test_theory_budget_formula_scaling():
     F, _, _ = ridge(rng, 30, 4, l2=0.05)
     L, sig = F.smoothness, F.strong_convexity
     r = prox_gd_hood(F, np.zeros(4), TheoryBudget())
-    assert r.budget_used == math.ceil(math.log(4.0) * L / sig)
+    assert r.iterations == math.ceil(math.log(4.0) * L / sig)
     r = apg_hood(F, np.zeros(4), TheoryBudget())
-    assert r.budget_used == math.ceil(math.log(8.0) * math.sqrt(L / sig))
+    assert r.iterations == math.ceil(math.log(8.0) * math.sqrt(L / sig))
     r = sdca_hood(F, np.zeros(4), TheoryBudget(), seed=0)
-    assert r.budget_used == math.ceil(30 + L / sig)
+    assert r.iterations == math.ceil(30 + L / sig)
     r = svrg_hood(F, np.zeros(4), TheoryBudget(), seed=0)
-    assert r.budget_used == math.ceil(8.0 * L / sig)  # uncertified fallback
+    assert r.iterations == math.ceil(8.0 * L / sig)  # uncertified fallback
 
 
 def test_one_step_exact_solve_on_one_dimension():
@@ -199,6 +199,18 @@ def test_sdca_practical_policies_keep_the_pass_cap():
         assert r.data_passes <= cap + 1e-9
 
 
+def test_svrg_practical_policies_keep_the_pass_cap():
+    # each in-loop gap check costs a pass: the inner steps left must shrink
+    # to the room after it (this run once spent 2.7 passes under cap 2.5
+    # and 4.05 under cap 3.75)
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l2=0.05)).smooth(0.1)
+    for cap in (2.5, 3.75):
+        r = svrg_hood(F, np.zeros(8), PracticalGapQuarter(), seed=0,
+                      pass_cap=cap, baseline=1e-12)
+        assert r.data_passes <= cap + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
@@ -215,17 +227,18 @@ def test_fixed_iterations_zero_is_a_no_op():
 
 
 def test_stat_floor_stops_practical_policy():
-    # one prox step lands exactly on the minimizer; the next free stat is ~0
-    r = prox_gd_hood(ONE_D, np.zeros(1), PracticalGradThird(snapshot_interval=1))
-    assert r.iterations == 1
+    # one prox step lands exactly on the minimizer; with n = 1 the free
+    # statistic is due every 2 iterations, and the first one is ~0
+    r = prox_gd_hood(ONE_D, np.zeros(1), PracticalGradThird())
+    assert r.iterations == 2
     assert r.final_stat <= 1e-14
-    assert r.data_passes == 2.0  # two gradients, stats free
+    assert r.data_passes == 3.0  # three gradients, stats free
 
 
 def test_practical_gap_quarter_stops_on_quarter():
     rng = np.random.default_rng(54)
     F, _, _ = ridge(rng, 20, 5, l2=0.5)
-    policy = PracticalGapQuarter(check_interval=20)  # one check per iterate
+    policy = PracticalGapQuarter()  # n = 20: one check per iterate
     r = prox_gd_hood(F, np.ones(5), policy)
     first = F.duality_gap(prox_gd_hood(F, np.ones(5), FixedIterations(1)).x_out)
     assert r.final_stat < 0.25 * first + 1e-12
@@ -237,7 +250,7 @@ def test_practical_gap_quarter_stops_on_quarter():
 def test_practical_policy_threads_baseline_between_runs():
     rng = np.random.default_rng(55)
     F, _, _ = ridge(rng, 20, 5, l2=0.5)
-    policy = PracticalGradThird(snapshot_interval=20)
+    policy = PracticalGradThird()
     r1 = prox_gd_hood(F, np.ones(5), policy)
     assert r1.recorded_stat == pytest.approx(r1.final_stat)
     # second run measures against the handed-in baseline: it must beat a
@@ -294,8 +307,7 @@ def test_pass_accounting_sdca():
 def test_snapshot_stat_is_free_for_svrg_grad_policy():
     rng = np.random.default_rng(60)
     F, _, _ = ridge(rng, 10, 4, l2=0.4)
-    policy = PracticalGradThird(snapshot_interval=10)  # snapshot every n steps
-    r = svrg_hood(F, np.ones(4), policy, seed=2)
+    r = svrg_hood(F, np.ones(4), PracticalGradThird(), seed=2)
     # every full eval is a snapshot whose statistic reused that gradient
     assert r.data_passes == pytest.approx(r.full_evals + r.sample_evals / 10.0)
 
