@@ -87,6 +87,13 @@ class Dataset:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
+    def step_rows(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """`row(i)` for every row, except that a row storing all dim columns
+        has indices None: its strictly increasing indices are 0..dim-1, so
+        its values are the dense row and a step needs no gather or scatter."""
+        return [(None if len(idx) == self.dim else idx, val)
+                for idx, val in map(self.row, range(self.n))]
+
     def row_sq_norms(self) -> np.ndarray:
         """Squared Euclidean norm of every row (cached)."""
         if self._row_sq_cache is None:

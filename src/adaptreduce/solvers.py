@@ -33,13 +33,26 @@ prox-GD iterates) is free.  Counts are kept as integers (full passes and
 sample steps) so totals are exact.
 
 The SVRG and SDCA step loops run once per sample in Python, so they work on
-lists and row views made once per call, yet every float stays the one the
-vectorized functions give: a scalar closed form stands in for a numpy call
-only where it needs nothing but + - * / min max, which are exactly rounded;
-exp and log stay numpy calls, because math's differ in the last bit.  The
-one exception is the logistic SDCA coordinate, a safeguarded Newton solve on
-math.exp: no vectorized function fixes its bits, and numpy scalar calls would
-cost more than the 3 to 5 Newton steps it takes.
+lists, row views and d-float buffers made once per call and write x, v and
+the step's terms in place, yet every float stays the one the vectorized
+formulas give:
+- a row that stores all d columns (`Dataset.step_rows` gives it indices
+  None) takes a full-row body that reads and writes whole vectors, with no
+  gather or scatter; any other row gathers and scatters its support.  Each
+  element meets the same + - * / in the same order in both bodies and in
+  the formula (IEEE + and * are commutative, so `rval * c` is `c * rval`),
+  and writing a result into a buffer changes none of its bits;
+- psi's prox and conjugate maximizer are `regularizers._shrink`, the one
+  soft-threshold, on constants `prox_terms` and `conjugate_terms` compute
+  once per call; the constants a full row meets are d-float arrays, which
+  numpy takes faster than Python floats, and `x.dot` stands in for `x @`,
+  the same BLAS dot at less call cost;
+- a scalar closed form stands in for a numpy call only where it needs
+  nothing but + - * / min max, which are exactly rounded; exp and log stay
+  numpy calls, because math's differ in the last bit.  The one exception is
+  the logistic SDCA coordinate, a safeguarded Newton solve on math.exp: no
+  vectorized function fixes its bits, and numpy scalar calls would cost
+  more than the 3 to 5 Newton steps it takes.
 """
 from __future__ import annotations
 
@@ -52,6 +65,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, NumericalError
 from .objectives import Case, CompositeObjective
+from .regularizers import _shrink
 
 STAT_FLOOR = 1e-14   # policies stop unconditionally below this statistic
 _ITER_GUARD = 10 ** 8  # hard safety limit on steps in one invocation
@@ -96,7 +110,8 @@ class PracticalGradThird:
     The statistic is the norm of the gradient of the whole differentiable
     part (f plus psi's quadratic terms, never the l1 term): with a shifted
     quadratic in psi the f-gradient alone does not vanish at the minimizer,
-    so the one-third rule would stall on it.
+    so the one-third rule would stall on it.  Nor does this norm where psi
+    has an l1 term, so every oracle refuses that pairing.
 
     The norm is checked every 2n stochastic steps (SVRG's snapshot interval,
     where it is free) and every 2 iterations of the full-gradient solvers.
@@ -151,6 +166,11 @@ class _Run:
     cap.  `theory` is the oracle's TheoryBudget step count."""
 
     def __init__(self, F, policy, pass_cap, baseline, theory: int):
+        if isinstance(policy, PracticalGradThird) and F.reg.l1 > 0.0:
+            raise ConfigError(
+                "PracticalGradThird's gradient norm leaves out the l1 term, "
+                "so it does not vanish at the minimizer of an objective with "
+                "l1 > 0; use PracticalGapQuarter")
         self.F = F
         self.n = max(F.n, 1)
         self.policy = policy if isinstance(policy, _PRACTICAL) else None
@@ -378,11 +398,16 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                  else _NEVER)
     rng = _rng(seed)
 
-    rows = [F.data.row(i) for i in range(n)]
+    rows = F.data.step_rows()
     labels = F.data.labels.tolist()
     deriv = F.scalar_deriv
-    prox = F.reg.prox_map(eta)
+    shift, tau, scale = F.reg.prox_terms(eta)
+    # constants as arrays: numpy 2 takes them faster than Python floats
+    etas, scales, zeros = (np.full(F.dim, c) for c in (eta, scale, 0.0))
+    taus = None if tau is None else np.full(F.dim, tau)
     x = np.array(x0, dtype=float)
+    v = np.empty(F.dim)  # eta times the variance-reduced gradient
+    t = np.empty(F.dim)  # the prox's scratch
     since_gap = 0
     while run.budget is None or run.samples < run.budget:
         if run.samples > _ITER_GUARD:
@@ -411,10 +436,20 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
             segment, draws = draws[:cut], draws[cut:]
             for i in segment:
                 ridx, rval = rows[i]
-                di = deriv(float(rval @ x[ridx]), labels[i])
-                v = mu.copy()
-                v[ridx] += (di - d_list[i]) * rval
-                x = prox(x - eta * v)
+                if ridx is None:
+                    c = deriv(float(rval.dot(x)), labels[i]) - d_list[i]
+                    np.multiply(rval, c, v)
+                    np.add(v, mu, v)
+                else:
+                    c = deriv(float(rval.dot(x[ridx])), labels[i]) - d_list[i]
+                    np.copyto(v, mu)
+                    v[ridx] += c * rval
+                np.multiply(v, etas, v)
+                np.subtract(x, v, x)
+                if shift is not None:
+                    np.add(x, shift, x)
+                _shrink(x, taus, zeros, t, x)
+                np.divide(x, scales, x)
             run.samples += len(segment)
             since_gap += len(segment)
             if since_gap == gap_every:
@@ -495,22 +530,41 @@ def _sdca_sweeper(F, lam, alpha, v, x):
     row i's support only (psi is separable).  The caller's alpha (a list),
     v and x are updated in place."""
     n = F.n
-    rows = [F.data.row(i) for i in range(n)]
+    rows = F.data.step_rows()
     labels = F.data.labels.tolist()
     q = (F.data.row_sq_norms() / (F.strong_convexity * n)).tolist()
-    loss, conjugate_argmax = F.loss, F.reg.conjugate_argmax
+    loss = F.loss
+    shift, sigma, tau = F.reg.conjugate_terms()
+    # a full row's constants as arrays: numpy 2 takes them faster than floats
+    sigmas, zeros = np.full(F.dim, sigma), np.zeros(F.dim)
+    taus = None if tau is None else np.full(F.dim, tau)
+    t = np.empty(F.dim)  # a full row's step, then the shrink's scratch
 
     def sweep(indices):
         for i in indices:
             ridx, rval = rows[i]
-            s = _sdca_coordinate(loss, labels[i], lam, alpha[i],
-                                 float(rval @ x[ridx]), q[i])
+            z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
+            s = _sdca_coordinate(loss, labels[i], lam, alpha[i], z, q[i])
             delta = s - alpha[i]
-            if delta != 0.0:
-                alpha[i] = s
+            if delta == 0.0:
+                continue
+            alpha[i] = s
+            if ridx is None:
+                np.multiply(rval, delta / n, t)
+                np.subtract(v, t, v)
+                if shift is None:
+                    np.divide(v, sigmas, x)
+                else:
+                    np.add(v, shift, x)
+                    np.divide(x, sigmas, x)
+                _shrink(x, taus, zeros, t, x)
+            else:
                 vi = v[ridx] - (delta / n) * rval
                 v[ridx] = vi
-                x[ridx] = conjugate_argmax(vi, ridx)
+                if shift is not None:
+                    vi += shift[ridx]
+                vi /= sigma
+                x[ridx] = _shrink(vi, tau, 0.0, t[:len(vi)], vi)
 
     return sweep
 

@@ -8,6 +8,7 @@ import pytest
 
 from adaptreduce import (ConfigError, Regularizer, brute_force_reg_conjugate,
                          soft_threshold)
+from adaptreduce.regularizers import _shrink
 
 
 def random_reg(rng, with_l1=True, with_l2=True, with_shift=True, d=5):
@@ -28,6 +29,23 @@ def test_soft_threshold_at_zero_keeps_the_general_formulas_bits():
     v = np.array([-0.0, 0.0, -2.5, 1e-310, -np.inf, 3.0])
     want = np.sign(v) * np.maximum(np.abs(v) - 0.0, 0.0)
     assert soft_threshold(v, 0.0).tobytes() == want.tobytes()
+
+
+def test_soft_threshold_in_place_matches_the_formula_at_the_edges():
+    # the in-place kernel against sign(v) * max(|v| - tau, 0) at signed
+    # zeros, at +-tau and at their float neighbours, with tau = 0 too, and
+    # with tau and 0 as floats or as arrays, as the step loops pass them
+    for tau in (0.0, 0.75, 5e-324):
+        edges = [0.0, tau, np.nextafter(tau, 0.0), np.nextafter(tau, 1.0),
+                 np.nextafter(0.0, 1.0), 3.5]
+        v = np.array([s * e for e in edges for s in (1.0, -1.0)])
+        want = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        assert soft_threshold(v, tau).tobytes() == want.tobytes()
+        for t, zero in ((tau, 0.0), (np.full_like(v, tau), np.zeros_like(v))):
+            got = v.copy()
+            assert _shrink(got, t if tau else None, zero,
+                           np.empty_like(v), got) is got
+            assert got.tobytes() == want.tobytes()
 
 
 def test_value_hand_anchor():

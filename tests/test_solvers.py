@@ -11,6 +11,7 @@ from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          FixedIterations, NumericalError, PracticalGapQuarter,
                          PracticalGradThird, Regularizer, TheoryBudget,
                          apg_hood, exact_oracle, gen_classification,
+                         gen_regression,
                          prox_gd_hood,
                          quadratic_reference, reference_minimize, sdca_hood,
                          svrg_hood)
@@ -333,6 +334,81 @@ def test_seed_determinism():
         c = solver(F, np.zeros(4), FixedIterations(40), seed=6).x_out
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def mixed_rows(seed, n, d):
+    """Rows 0, 3, 6, ... store all d columns; every other row keeps each of
+    its entries with probability 0.3."""
+    data = gen_classification(seed, n, d)
+    row_of = np.repeat(np.arange(n), np.diff(data.indptr))
+    kept = ((row_of % 3 == 0)
+            | (np.random.default_rng(seed + 1).random(len(data.values)) < 0.3))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of[kept],
+                                                        minlength=n))))
+    return Dataset(indptr, data.indices[kept], data.values[kept],
+                   data.labels, d)
+
+
+# a shift center holding both signed zeros
+CENTER = np.random.default_rng(83).normal(size=12) * 0.3
+CENTER[:2] = -0.0, 0.0
+STEP_BODY_OBJECTIVES = {
+    "l2": ("hinge", 0.2, Regularizer(l2=0.05)),
+    "l1+shift": ("squared", None, Regularizer(l1=0.2, shift_weight=0.1,
+                                              shift_center=CENTER)),
+    "shift": ("logistic", None, Regularizer(shift_weight=0.1,
+                                            shift_center=CENTER)),
+}
+
+
+# (oracle, objective) -> SHA-256 of x_out
+STEP_BODY_DIGESTS = {
+    ("svrg", "l2"):
+        "c7a17196af61cf9d959116750927eaa15bad6bf864b21084942cd4d23dd4748e",
+    ("sdca", "l2"):
+        "7e9134fc9e891ca1ba49a0571a4089eff6f01ae9740407e1e411b88ffa0216c0",
+    ("svrg", "l1+shift"):
+        "6139db566173d250ece05d26ef7ec7d0beeebcdde4d9ad0a2828d9af82ddcec0",
+    ("sdca", "l1+shift"):
+        "395805052dadc2a39c21c23def46281dc4fd2e49edbd577d6094117ad1f27eef",
+    ("svrg", "shift"):
+        "ea775fc6ecf566ee24b734ffdb90c4da63cfc1ec01b6d6f49482bc197c6281bc",
+    ("sdca", "shift"):
+        "1e75d5c1236aa7695b87d9e0ed70f6835d9f6aa2df1f2d94059ea5937e80a7cb",
+}
+
+
+@pytest.mark.parametrize("oracle, name", list(STEP_BODY_DIGESTS),
+                         ids=[f"{o}-{n}" for o, n in STEP_BODY_DIGESTS])
+def test_full_and_sparse_row_steps_keep_their_bits(oracle, name):
+    # one run takes both step bodies: 20 of the 60 rows store all 12
+    # columns; the shift center and x0 hold signed zeros, and the l1 run
+    # ends with zeros of both signs.  The digests were taken from the
+    # gather/scatter-only step loops, so the full-row bodies keep every bit
+    data = mixed_rows(81, 60, 12)
+    assert sum(idx is None for idx, _ in data.step_rows()) == 20
+    loss, lam, reg = STEP_BODY_OBJECTIVES[name]
+    F = CompositeObjective(data, loss, reg, lam)
+    x0 = np.zeros(12)
+    x0[::2] = -0.0
+    solve = {"svrg": svrg_hood, "sdca": sdca_hood}[oracle]
+    r = solve(F, x0, FixedIterations(500), seed=7)
+    assert r.iterations == 500
+    assert (hashlib.sha256(r.x_out.tobytes()).hexdigest()
+            == STEP_BODY_DIGESTS[oracle, name])
+
+
+def test_grad_policy_refuses_an_l1_term():
+    # its statistic leaves out the l1 term, so it does not vanish at the
+    # minimizer: without a cap sdca_hood ran this to the 10**8-step guard
+    # (355 s).  The refusal comes before any work; the cap only keeps a
+    # run that is not refused short
+    F = CompositeObjective(gen_regression(5, 40, 6, sparsity=3), "squared",
+                           Regularizer(l1=0.01, l2=0.1))
+    for solver in (prox_gd_hood, apg_hood, svrg_hood, sdca_hood):
+        with pytest.raises(ConfigError, match="l1"):
+            solver(F, np.zeros(6), PracticalGradThird(), seed=3,
+                   pass_cap=20.0)
 
 
 # ---------------------------------------------------------------------------
