@@ -151,6 +151,16 @@ class CompositeObjective:
         return self.reg.prox(v, eta)
 
     # -- duality ---------------------------------------------------------
+    def dual_value(self, alpha) -> float:
+        """The Fenchel dual -mean_i f_i*(alpha_i) - psi*(-(1/n) A^T alpha)."""
+        b = self.data.labels
+        if self.smoothing is not None:
+            fstar = losses.smoothed_conjugate(self.loss, alpha, b, self.smoothing)
+        else:
+            fstar = losses.loss_conjugate(self.loss, alpha, b)
+        v = -data_mod.rmatvec(self.data, alpha) / self.n
+        return -float(fstar.mean()) - self.reg.conjugate_value(v)
+
     def duality_gap(self, x) -> float:
         """Primal value minus Fenchel dual value at alpha_i = f_i'(z_i).
 
@@ -160,16 +170,8 @@ class CompositeObjective:
         if self.strong_convexity <= 0.0:
             raise ConfigError("duality gap unavailable: psi is not strongly convex")
         x = np.asarray(x, dtype=float)
-        z = self.margins(x)
-        alpha = self.loss_derivs(z, allow_subgradient=True)
-        b = self.data.labels
-        if self.smoothing is not None:
-            fstar = losses.smoothed_conjugate(self.loss, alpha, b, self.smoothing)
-        else:
-            fstar = losses.loss_conjugate(self.loss, alpha, b)
-        v = -data_mod.rmatvec(self.data, alpha) / self.n
-        dual = -float(fstar.mean()) - self.reg.conjugate_value(v)
-        return self.full_value(x) - dual
+        alpha = self.loss_derivs(self.margins(x), allow_subgradient=True)
+        return self.full_value(x) - self.dual_value(alpha)
 
     # -- transforms ------------------------------------------------------
     def regularize(self, weight: float, center) -> "CompositeObjective":

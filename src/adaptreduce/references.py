@@ -211,24 +211,18 @@ def _hinge_reference(F, tol) -> np.ndarray:
     transform = lambda sigma_t, lam_t: (
         F.smooth(lam_t).regularize(sigma_t, origin))
     found = []
-    last = "no epoch ran"
+    last = ["no epoch ran"]
 
     def certified(report) -> bool:
-        nonlocal last
-        for margin_tol in _MARGIN_TOLS:
-            try:
-                found.append(_polish_hinge(F, report.x_out, margin_tol)[0])
-                return True
-            except NumericalError as err:
-                # the message only: a kept error's traceback holds the
-                # polish's arrays alive
-                last = str(err)
-        return False
+        polished = _try_polish(F, report.x_out, last)
+        if polished is not None:
+            found.append(polished[0])
+        return polished is not None
 
     _drive(F, apg_hood, origin, FixedIterations(2500), schedule, transform,
            stalled=certified)
     if not found:
-        raise NumericalError(f"hinge reference polish failed: {last}")
+        raise NumericalError(f"hinge reference polish failed: {last[0]}")
     return found[0]
 
 
@@ -241,31 +235,35 @@ def _svm_reference(F, tol) -> np.ndarray:
     x = F.reg.conjugate_argmax(v)
     sweep = _sdca_sweeper(F, 0.0, alpha, v, x)
     rng = np.random.default_rng(_DCA_SEED)
-    last = "no epoch ran"
+    last = ["no epoch ran"]
     for epoch in range(1, _DCA_EPOCH_CAP + 1):
         sweep(rng.permutation(n).tolist())
         if epoch % _DCA_POLISH_EVERY:
             continue
-        for margin_tol in _MARGIN_TOLS:
-            try:
-                x_ref, tau = _polish_hinge(F, x, margin_tol)
-            except NumericalError as err:
-                last = str(err)
-                continue
-            _check_hinge_gap(F, x_ref, tau, tol)
-            return x_ref
-    raise NumericalError(f"hinge reference polish failed: {last}")
+        polished = _try_polish(F, x, last)
+        if polished is not None:
+            _check_hinge_gap(F, *polished, tol)
+            return polished[0]
+    raise NumericalError(f"hinge reference polish failed: {last[0]}")
+
+
+def _try_polish(F, x_warm, last: list):
+    """`_polish_hinge` at each of _MARGIN_TOLS in turn: the first (point,
+    multipliers) it certifies, or None, with the last failure's message in
+    last[0] (the message only: a kept error's traceback holds the polish's
+    arrays alive)."""
+    for margin_tol in _MARGIN_TOLS:
+        try:
+            return _polish_hinge(F, x_warm, margin_tol)
+        except NumericalError as err:
+            last[0] = str(err)
+    return None
 
 
 def _check_hinge_gap(F, x, tau, tol) -> float:
     """The duality gap P(x) - D(alpha) at the feasible dual point
     alpha = -b tau, tau in [0, 1]^n; raises when it is not at most tol."""
-    A, b, n, d = _parts(F)
-    alpha = -b * tau
-    v = -(A.T @ alpha) / n
-    dual = (-float(losses.loss_conjugate("hinge", alpha, b).mean())
-            - F.reg.conjugate_value(v))
-    gap = F.full_value(x) - dual
+    gap = F.full_value(x) - F.dual_value(-F.data.labels * tau)
     if not gap <= tol:
         raise NumericalError(
             f"hinge reference duality gap {gap:.3g} exceeds tol {tol:g}")

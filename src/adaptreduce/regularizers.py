@@ -120,14 +120,12 @@ class Regularizer:
                  if self.shift_weight > 0.0 else None)
         return shift, sigma, self.l1 / sigma or None
 
-    def conjugate_argmax(self, u, idx=None):
-        """The maximizer of <u, x> - psi(x); requires strong convexity.
-        psi is separable: given index array `idx`, u and the result hold
-        only those coordinates."""
+    def conjugate_argmax(self, u):
+        """The maximizer of <u, x> - psi(x); requires strong convexity."""
         shift, sigma, tau = self.conjugate_terms()
         x = np.array(u, dtype=float)
         if shift is not None:
-            x += shift if idx is None else shift[idx]
+            x += shift
         x /= sigma
         return _shrink(x, tau, 0.0, out=x)
 

@@ -22,6 +22,11 @@ Each oracle keeps its books in one `_Run`, which holds the contract:
   records it, and says stop when the policy is met or that pass and
   `reserve` more would not fit under the cap; a free statistic (a gradient
   norm where the gradient is in hand) is recorded unpaid;
+- `todo(most)` says how many stochastic steps, at most `most`, the budget
+  and the cap leave, and `steps(draws, take, x, interval)` hands the draws
+  to the step body `take` in segments ending at each check due every
+  `interval` steps (counted across calls); a check costs a pass, so the
+  draws left after it shrink to the room it leaves;
 - `finish(x, iterations, use_gap)` returns the report, after a budgeted run
   that took a step pays for its closing statistic (the duality gap or the
   gradient norm) if it fits under the cap.
@@ -186,6 +191,7 @@ class _Run:
         self.pass_cap = pass_cap
         self.full = 0
         self.samples = 0
+        self.since = 0  # stochastic steps since the last check
 
     @property
     def passes(self) -> float:
@@ -223,6 +229,32 @@ class _Run:
         self.full += 1
         return self.record(self.policy.stat(self.F, x))
 
+    def todo(self, most: int) -> int:
+        """How many more stochastic steps, at most `most`, the budget and
+        the cap leave (0 or less: none)."""
+        todo = min(most, self.sample_room())
+        if self.budget is not None:
+            todo = min(todo, self.budget - self.samples)
+        return todo
+
+    def steps(self, draws: list, take, x, interval: int) -> bool:
+        """Hand the draws to `take` in segments ending at each check due
+        every `interval` steps, checking the statistic at x, which `take`
+        moves; after a check the draws left shrink to the room it leaves.
+        True means a check said stop."""
+        while draws:
+            cut = interval - self.since
+            segment, draws = draws[:cut], draws[cut:]
+            take(segment)
+            self.samples += len(segment)
+            self.since += len(segment)
+            if self.since == interval:
+                self.since = 0
+                if self.check(x):
+                    return True
+                del draws[self.sample_room():]
+        return False
+
     def finish(self, x, iterations, use_gap=False) -> OracleReport:
         """The report.  A budgeted run that took a step first pays for its
         closing statistic, the duality gap or the gradient norm, if it fits."""
@@ -256,17 +288,61 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _theory_iters(who: str, L: float, sigma: float) -> int:
-    if who == "prox_gd_hood":
-        return max(1, math.ceil(math.log(4.0) * L / sigma))
-    if who == "apg_hood":
-        return max(1, math.ceil(math.log(8.0) * math.sqrt(L / sigma)))
-    raise AssertionError(who)
-
-
 # ---------------------------------------------------------------------------
 # deterministic full-gradient solvers
 # ---------------------------------------------------------------------------
+
+def _apg_theory(L: float, sigma: float) -> int:
+    """APG's TheoryBudget count, from the gap bound 2 (1 - sqrt(sigma/L))^k."""
+    return max(1, math.ceil(math.log(8.0) * math.sqrt(L / sigma)))
+
+
+def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
+    """The prox-gradient loop at step 1/L, with APG's momentum or none.
+
+    Without momentum y is x, and the gradient-norm statistic reuses the
+    step's gradient at x, free; with it, statistics are taken at x and
+    paid.  Statistics are due every round(interval/n) iterations."""
+    who = "apg_hood" if momentum else "prox_gd_hood"
+    _require_case1(F, who)
+    L, sigma = F.smoothness, F.strong_convexity
+    if L <= 0.0:
+        L = sigma  # constant f: any positive step; prox does all the work
+    beta = 0.0
+    if momentum:
+        theory = _apg_theory(L, sigma)
+        if L > sigma:
+            rL, rS = math.sqrt(L), math.sqrt(sigma)
+            beta = (rL - rS) / (rL + rS)
+    else:
+        theory = max(1, math.ceil(math.log(4.0) * L / sigma))
+    run = _Run(F, policy, pass_cap, baseline, theory)
+    check_every = max(1, round(run.interval / run.n))
+    free_norm = not momentum and isinstance(run.policy, PracticalGradThird)
+
+    x = np.array(x0, dtype=float)
+    y = x
+    it = 0
+    while run.budget is None or it < run.budget:
+        if it > _ITER_GUARD:
+            raise NumericalError(f"{who} exceeded the iteration guard")
+        if not run.room_for(full=1):
+            break
+        due = it > 0 and it % check_every == 0
+        if due and not free_norm and run.check(x, reserve=1):
+            break
+        g = F.full_gradient(y)
+        run.full += 1
+        # free: reuses g at y = x, adds only psi's closed-form gradient
+        if due and free_norm and run.record(
+                np.linalg.norm(g + F.reg.differentiable_gradient(x))):
+            break
+        x_new = F.prox(y - g / L, 1.0 / L)
+        y = x_new + beta * (x_new - x) if momentum else x_new
+        x = x_new
+        it += 1
+    return run.finish(x, it)
+
 
 def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
                  baseline=None) -> OracleReport:
@@ -277,34 +353,7 @@ def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
     by its square on quadratics, so the gap drops by a factor >= 4 within
     the budget.  `seed` is accepted for interface uniformity and ignored.
     """
-    _require_case1(F, "prox_gd_hood")
-    L, sigma = F.smoothness, F.strong_convexity
-    if L <= 0.0:
-        L = sigma  # constant f: any positive step; prox does all the work
-    run = _Run(F, policy, pass_cap, baseline,
-               _theory_iters("prox_gd_hood", L, sigma))
-    check_every = max(1, round(run.interval / run.n))
-
-    x = np.array(x0, dtype=float)
-    it = 0
-    while run.budget is None or it < run.budget:
-        if it > _ITER_GUARD:
-            raise NumericalError("prox_gd_hood exceeded the iteration guard")
-        if not run.room_for(full=1):
-            break
-        due = it > 0 and it % check_every == 0
-        if (due and isinstance(run.policy, PracticalGapQuarter)
-                and run.check(x, reserve=1)):
-            break
-        g = F.full_gradient(x)
-        run.full += 1
-        if due and isinstance(run.policy, PracticalGradThird):
-            # free: reuses g, adds only psi's closed-form quadratic gradient
-            if run.record(np.linalg.norm(g + F.reg.differentiable_gradient(x))):
-                break
-        x = F.prox(x - g / L, 1.0 / L)
-        it += 1
-    return run.finish(x, it)
+    return _prox_gradient(F, x0, policy, pass_cap, baseline, momentum=False)
 
 
 def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
@@ -317,61 +366,12 @@ def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     at the extrapolated point y; statistics are evaluated at the primal
     iterate x (one extra pass each).
     """
-    _require_case1(F, "apg_hood")
-    L, sigma = F.smoothness, F.strong_convexity
-    if L <= 0.0:
-        L = sigma
-    beta = 0.0
-    if L > sigma:
-        rL, rS = math.sqrt(L), math.sqrt(sigma)
-        beta = (rL - rS) / (rL + rS)
-    run = _Run(F, policy, pass_cap, baseline,
-               _theory_iters("apg_hood", L, sigma))
-    check_every = max(1, round(run.interval / run.n))
-
-    x = np.array(x0, dtype=float)
-    y = x.copy()
-    it = 0
-    while run.budget is None or it < run.budget:
-        if it > _ITER_GUARD:
-            raise NumericalError("apg_hood exceeded the iteration guard")
-        if not run.room_for(full=1):
-            break
-        if it > 0 and it % check_every == 0 and run.check(x, reserve=1):
-            break
-        g = F.full_gradient(y)
-        run.full += 1
-        x_new = F.prox(y - g / L, 1.0 / L)
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        it += 1
-    return run.finish(x, it)
+    return _prox_gradient(F, x0, policy, pass_cap, baseline, momentum=True)
 
 
 # ---------------------------------------------------------------------------
 # SVRG
 # ---------------------------------------------------------------------------
-
-def _svrg_theory(n: int, L: float, sigma: float) -> tuple[int, int]:
-    """(outer epochs, inner steps per epoch) for a factor-4 decrease.
-
-    The standard prox-SVRG per-epoch contraction bound
-        rho = 1/(sigma eta (1-4 L eta) m) + 4 L eta (m+1)/((1-4 L eta) m)
-    cannot certify anything at the practical step eta = 1/L (the 1 - 4 L eta
-    factor is negative), so the budget falls back to one outer epoch of
-    ceil(8 L/sigma) inner steps at eta = 1/L — an empirically validated
-    allotment, documented as uncertified.
-    """
-    eta = 1.0 / L
-    m = 2 * n
-    denom = 1.0 - 4.0 * L * eta
-    if denom > 0.0:
-        rho = (1.0 / (sigma * eta * denom * m)
-               + 4.0 * L * eta * (m + 1) / (denom * m))
-        if 0.0 < rho < 1.0:
-            return max(1, math.ceil(math.log(4.0) / math.log(1.0 / rho))), m
-    return 1, max(1, math.ceil(8.0 * L / sigma))
-
 
 def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
               baseline=None) -> OracleReport:
@@ -380,9 +380,11 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     last inner iterate.
 
     Snapshot loss derivatives are cached, so an inner step evaluates one
-    fresh derivative (1/n of a pass).  Outside TheoryBudget m = 2n, the
-    gradient-norm policy's interval: its statistic is taken at each
-    snapshot, free, since the snapshot gradient is in hand.
+    fresh derivative (1/n of a pass).  TheoryBudget takes one snapshot and
+    runs m = ceil(8 L/sigma) steps at eta = 1/L; the prox-SVRG contraction
+    bound certifies only eta < 1/(4L), so not this budget.  Outside
+    TheoryBudget m = 2n, the gradient-norm policy's interval: its statistic
+    is taken at each snapshot, free, since the snapshot gradient is in hand.
     """
     _require_case1(F, "svrg_hood")
     if F.n < 1:
@@ -390,8 +392,8 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     L, sigma = F.smoothness, F.strong_convexity
     eta = 1.0 / L
     n = F.n
-    outer, m = _svrg_theory(n, L, sigma)
-    run = _Run(F, policy, pass_cap, baseline, outer * m)
+    m = max(1, math.ceil(8.0 * L / sigma))
+    run = _Run(F, policy, pass_cap, baseline, m)
     if not isinstance(policy, TheoryBudget):
         m = 2 * n
     gap_every = (run.interval if isinstance(run.policy, PracticalGapQuarter)
@@ -408,7 +410,25 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     x = np.array(x0, dtype=float)
     v = np.empty(F.dim)  # eta times the variance-reduced gradient
     t = np.empty(F.dim)  # the prox's scratch
-    since_gap = 0
+
+    def take(segment):
+        for i in segment:
+            ridx, rval = rows[i]
+            if ridx is None:
+                c = deriv(float(rval.dot(x)), labels[i]) - d_list[i]
+                np.multiply(rval, c, v)
+                np.add(v, mu, v)
+            else:
+                c = deriv(float(rval.dot(x[ridx])), labels[i]) - d_list[i]
+                np.copyto(v, mu)
+                v[ridx] += c * rval
+            np.multiply(v, etas, v)
+            np.subtract(x, v, x)
+            if shift is not None:
+                np.add(x, shift, x)
+            _shrink(x, taus, zeros, t, x)
+            np.divide(x, scales, x)
+
     while run.budget is None or run.samples < run.budget:
         if run.samples > _ITER_GUARD:
             raise NumericalError("svrg_hood exceeded the iteration guard")
@@ -422,41 +442,13 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         if isinstance(run.policy, PracticalGradThird) and run.record(
                 np.linalg.norm(mu + F.reg.differentiable_gradient(x))):
             break
-        # inner loop, in segments ending at each gap check; a check costs a
-        # pass, so the draws left after it shrink to the room it leaves
-        todo = min(m, run.sample_room())
-        if run.budget is not None:
-            todo = min(todo, run.budget - run.samples)
+        todo = run.todo(m)
         if todo <= 0:
             break
         d_list = d_tilde.tolist()
         draws = rng.integers(0, n, size=m)[:todo].tolist()
-        while draws:
-            cut = gap_every - since_gap
-            segment, draws = draws[:cut], draws[cut:]
-            for i in segment:
-                ridx, rval = rows[i]
-                if ridx is None:
-                    c = deriv(float(rval.dot(x)), labels[i]) - d_list[i]
-                    np.multiply(rval, c, v)
-                    np.add(v, mu, v)
-                else:
-                    c = deriv(float(rval.dot(x[ridx])), labels[i]) - d_list[i]
-                    np.copyto(v, mu)
-                    v[ridx] += c * rval
-                np.multiply(v, etas, v)
-                np.subtract(x, v, x)
-                if shift is not None:
-                    np.add(x, shift, x)
-                _shrink(x, taus, zeros, t, x)
-                np.divide(x, scales, x)
-            run.samples += len(segment)
-            since_gap += len(segment)
-            if since_gap == gap_every:
-                since_gap = 0
-                if run.check(x):
-                    return run.finish(x, run.samples)
-                del draws[run.sample_room():]
+        if run.steps(draws, take, x, gap_every):
+            break
     return run.finish(x, run.samples)
 
 
@@ -602,29 +594,15 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     sweep = _sdca_sweeper(F, 0.0 if F.smoothing is None else F.smoothing,
                           alpha.tolist(), v, x)
 
-    since_check = 0
     while run.budget is None or run.samples < run.budget:
         if run.samples > _ITER_GUARD:
             raise NumericalError("sdca_hood exceeded the iteration guard")
-        todo = min(4096, run.sample_room())
-        if run.budget is not None:
-            todo = min(todo, run.budget - run.samples)
+        todo = run.todo(4096)
         if todo <= 0:
             break
         chunk = rng.integers(0, n, size=todo).tolist()
-        # swept in segments ending at each statistic check; a check costs a
-        # pass, so what is left of the chunk shrinks to the room it leaves
-        while chunk:
-            cut = run.interval - since_check
-            segment, chunk = chunk[:cut], chunk[cut:]
-            sweep(segment)
-            run.samples += len(segment)
-            since_check += len(segment)
-            if since_check == run.interval:
-                since_check = 0
-                if run.check(x):
-                    return run.finish(x, run.samples)
-                del chunk[run.sample_room():]
+        if run.steps(chunk, sweep, x, run.interval):
+            break  # a check ran, so the policy is practical: no budget
     return run.finish(x, run.samples, use_gap=True)
 
 
@@ -642,7 +620,7 @@ def reference_minimize(F: CompositeObjective, tol: float = 1e-12) -> np.ndarray:
     """
     _require_case1(F, "reference_minimize")
     L, sigma = F.smoothness, F.strong_convexity
-    chunk = max(25, _theory_iters("apg_hood", max(L, sigma), sigma))
+    chunk = max(25, _apg_theory(max(L, sigma), sigma))
     x = np.zeros(F.dim)
     total = 0
     stalls = 0

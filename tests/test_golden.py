@@ -62,6 +62,26 @@ GOLDEN = {
         "classification", dict(task="l1svm", l1_weight=0.05, method="joint",
                                oracle="sdca", T=4, seed=7, pass_budget=20.0),
         "7b56be35682e4a3c295a04c89f4d8289abcb1e3ee9c66e5dad9bb32a7fd62895"),
+    # the prox-gradient loop without momentum: the gap policy, the free
+    # gradient norm, and TheoryBudget; the apg svm run takes the paid norm
+    "lasso-adaptreg-proxgd": (
+        "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
+                           oracle="proxgd", T=6, seed=3),
+        "e0da2e844582914037ead765dfe8ebebff3b1a2a553e5055d4259c2a8d8e72c9"),
+    "svm-adaptsmooth-proxgd": (
+        "classification", dict(task="svm", l2_weight=0.05,
+                               method="adaptsmooth", oracle="proxgd", T=5,
+                               seed=5),
+        "8b16e56e5008455da994e76ef9ad40cc4b5a1c1f47e8d76d6216a9c9dc2c1aa8"),
+    "svm-adaptsmooth-apg": (
+        "classification", dict(task="svm", l2_weight=0.05,
+                               method="adaptsmooth", oracle="apg", T=5,
+                               seed=5),
+        "43f64f36e9bfdd0bedc7f49396a063e165028f8b3dd4a0ef1907455aa0c1d918"),
+    "ridge-direct-proxgd": (
+        "regression", dict(task="ridge", l2_weight=0.1, method="direct",
+                           oracle="proxgd"),
+        "d9aff1710f64e5224106e8db7a79647919ce5f852e008115b8a39d4f221d45e7"),
     "lasso-classical-reg-apg": (
         "regression", dict(task="lasso", l1_weight=0.05,
                            method="classical-reg", oracle="apg", sigma=0.1),

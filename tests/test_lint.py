@@ -25,3 +25,35 @@ def test_no_unused_imports():
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound
                        if name not in used]
     assert unused == []
+
+
+def test_no_orphaned_private_names():
+    # every module-level private function, class or constant is read by
+    # some module of the package: as a name, an attribute or an import
+    package = Path(adaptreduce.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                defined = [node.target.id]
+            else:
+                continue
+            orphans += [f"{name}:{node.lineno} {d}" for d in defined
+                        if d.startswith("_") and not d.startswith("__")
+                        and d not in read]
+    assert orphans == []

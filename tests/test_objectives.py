@@ -3,28 +3,15 @@ constants, gradients, duality gap, and the regularize/smooth transforms."""
 import numpy as np
 import pytest
 
-from adaptreduce import (Case, CompositeObjective, ConfigError, Dataset,
-                         Regularizer, quadratic_reference)
-
-
-def dense_ds(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    return Dataset(
-        indptr=np.arange(n + 1) * d,
-        indices=np.tile(np.arange(d), n),
-        values=A.ravel().copy(),
-        labels=b,
-        dim=d,
-    )
+from adaptreduce import (Case, CompositeObjective, ConfigError, Regularizer,
+                         dense_to_dataset, quadratic_reference)
 
 
 def random_objective(rng, loss, reg, n=8, d=5, smoothing=None):
     A = rng.normal(size=(n, d))
     b = rng.normal(size=n) if loss == "squared" else np.where(
         rng.random(n) < 0.5, 1.0, -1.0)
-    return CompositeObjective(dense_ds(A, b), loss, reg, smoothing)
+    return CompositeObjective(dense_to_dataset(A, b), loss, reg, smoothing)
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +44,28 @@ def test_strong_convexity_comes_from_reg_only():
 def test_smoothness_constant_formula():
     A = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
     b = np.array([1.0, -1.0, 1.0])
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer())
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer())
     assert F.smoothness == pytest.approx(9.0)  # max |a_i|^2 * 1, zero row drops out
-    Flog = CompositeObjective(dense_ds(A, 2 * b), "logistic", Regularizer())
+    Flog = CompositeObjective(dense_to_dataset(A, 2 * b), "logistic", Regularizer())
     assert Flog.smoothness == pytest.approx(9.0 * 4 / 4)  # b^2/4 with b=2
-    Fh = CompositeObjective(dense_ds(A, b), "hinge", Regularizer())
+    Fh = CompositeObjective(dense_to_dataset(A, b), "hinge", Regularizer())
     assert np.isinf(Fh.smoothness)
     assert Fh.smooth(0.5).smoothness == pytest.approx(9.0 / 0.5)
 
 
 def test_lipschitz_G():
     A = np.ones((2, 2))
-    F = CompositeObjective(dense_ds(A, np.array([1.0, -3.0])), "hinge",
+    F = CompositeObjective(dense_to_dataset(A, np.array([1.0, -3.0])), "hinge",
                            Regularizer())
     assert F.lipschitz_G == 3.0
-    Fsq = CompositeObjective(dense_ds(A, np.array([1.0, -3.0])), "squared",
+    Fsq = CompositeObjective(dense_to_dataset(A, np.array([1.0, -3.0])), "squared",
                              Regularizer())
     assert np.isinf(Fsq.lipschitz_G)
 
 
 def test_value_hand_anchor():
     # one row a=(1,), b=3, squared loss, psi = 0.5 |x|^2
-    F = CompositeObjective(dense_ds(np.array([[1.0]]), np.array([3.0])),
+    F = CompositeObjective(dense_to_dataset(np.array([[1.0]]), np.array([3.0])),
                            "squared", Regularizer(l2=1.0))
     assert F.full_value(np.array([1.0])) == pytest.approx(2.0 + 0.5)
     assert F.f_value(np.array([3.0])) == 0.0
@@ -154,7 +141,7 @@ def test_duality_gap_zero_at_ridge_minimizer():
     A = rng.normal(size=(6, 3))
     b = rng.normal(size=6)
     l2 = 0.7
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=l2))
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l2=l2))
     x_star, _ = quadratic_reference(A.T @ A / 6 + l2 * np.eye(3), A.T @ b / 6)
     assert F.duality_gap(x_star) == pytest.approx(0.0, abs=1e-10)
     assert F.duality_gap(x_star + 0.1) > 1e-4

@@ -7,29 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptreduce import (Case, CompositeObjective, ConfigError, Dataset,
+from adaptreduce import (Case, CompositeObjective, ConfigError,
                          FixedIterations, HALVING, PracticalGapQuarter,
                          ReductionParams, Regularizer, adapt_reg,
                          adapt_smooth, apg_hood, base_reference,
                          classical_reg, classical_smooth, default_params,
-                         exact_oracle, joint_adapt, quadratic_reference,
-                         sdca_hood, svrg_hood)
+                         dense_to_dataset, exact_oracle, joint_adapt,
+                         quadratic_reference, sdca_hood, svrg_hood)
 from adaptreduce import reductions
-
-
-def dense_ds(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    return Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n),
-                   A.ravel().copy(), b, dim=d)
 
 
 def least_squares(rng, n=20, d=4):
     """Case2 objective with a closed-form reference for any added quadratic."""
     A = rng.normal(size=(n, d))
     b = rng.normal(size=n)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer())
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer())
     Q = A.T @ A / n
     c = A.T @ b / n
     return F, A, b, Q, c
@@ -39,7 +31,7 @@ def svm_like(rng, n=30, d=5, l2=0.5):
     """Case3 objective: hinge loss with an l2 regularizer."""
     A = rng.normal(size=(n, d)) / np.sqrt(d)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l2=l2))
+    return CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l2=l2))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +113,7 @@ def test_joint_schedule():
     rng = np.random.default_rng(72)
     A = rng.normal(size=(20, 4))
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-    F = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l1=0.05))
+    F = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l1=0.05))
     assert F.classify_case() is Case.Case4
     params = ReductionParams(sigma0=2.0, lam0=0.4, T=3)
     _, records = joint_adapt(F, exact_oracle, np.zeros(4), params, None)
@@ -262,7 +254,7 @@ def test_reductions_import_no_reference_code():
 def test_classical_reg_one_dimensional_anchor():
     # F(x) = x^2/2 via one squared-loss row (a=1, b=0); fixing sigma = 1
     # around x0 = 1 converges to the regularized optimum 0.5, not to 0
-    F = CompositeObjective(dense_ds(np.array([[1.0]]), np.array([0.0])),
+    F = CompositeObjective(dense_to_dataset(np.array([[1.0]]), np.array([0.0])),
                            "squared", Regularizer())
     x, records = classical_reg(F, exact_oracle, np.array([1.0]), 1.0)
     assert x[0] == pytest.approx(0.5, abs=1e-9)

@@ -10,20 +10,12 @@ import pytest
 
 from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
                          NumericalError, Regularizer, base_reference,
-                         gen_classification, gen_regression,
+                         dense_to_dataset, gen_classification, gen_regression,
                          quadratic_reference, run_experiment, write_dataset)
 from adaptreduce import data as data_mod
 from adaptreduce import harness, references, solvers
 from adaptreduce.cli import main
 from test_golden import sparsify
-
-
-def dense_ds(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    return Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n),
-                   A.ravel().copy(), b, dim=d)
 
 
 def labels(rng, n):
@@ -43,7 +35,7 @@ def test_ridge_reference_matches_closed_form():
     A = rng.normal(size=(25, 6))
     b = rng.normal(size=25)
     l2 = 0.3
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=l2))
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l2=l2))
     x_hat = base_reference(F)
     want, _ = quadratic_reference(A.T @ A / 25 + l2 * np.eye(6), A.T @ b / 25)
     np.testing.assert_allclose(x_hat, want, atol=1e-6)
@@ -55,7 +47,7 @@ def test_lasso_reference_kkt():
     n, d, w = 40, 8, 0.05
     A = rng.normal(size=(n, d))
     b = rng.normal(size=n)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l1=w))
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l1=w))
     x_hat = base_reference(F)
     # independent KKT recheck: g = (1/n) A'(Ax - b) must lie in -w dsign(x)
     g = A.T @ (A @ x_hat - b) / n
@@ -72,7 +64,7 @@ def test_l1_logistic_reference_kkt():
     n, d, w = 35, 6, 0.02
     A = rng.normal(size=(n, d)) / np.sqrt(d)
     y = labels(rng, n)
-    F = CompositeObjective(dense_ds(A, y), "logistic", Regularizer(l1=w))
+    F = CompositeObjective(dense_to_dataset(A, y), "logistic", Regularizer(l1=w))
     x_hat = base_reference(F)
     margins = A @ x_hat
     sig = 1.0 / (1.0 + np.exp(y * margins))
@@ -90,7 +82,7 @@ def test_svm_reference_primal_dual_sandwich():
     n, d, sig = 16, 4, 0.4
     A = rng.normal(size=(n, d)) / np.sqrt(d)
     y = labels(rng, n)
-    F = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l2=sig))
+    F = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l2=sig))
     x_hat = base_reference(F)
 
     # independent dual: max_{tau in [0,1]^n} (1/n) sum tau
@@ -116,7 +108,7 @@ def test_l1svm_reference_kkt():
     n, d, w = 30, 5, 0.03
     A = rng.normal(size=(n, d)) / np.sqrt(d)
     y = labels(rng, n)
-    F = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l1=w))
+    F = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l1=w))
     x_hat = base_reference(F)
 
     # recompute the hinge KKT certificate from scratch: multipliers tau_i = 1
@@ -149,7 +141,7 @@ def test_smoothed_hinge_reference_is_case1_dispatch():
     rng = np.random.default_rng(95)
     A = rng.normal(size=(20, 4)) / 2.0
     y = labels(rng, 20)
-    F = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l2=0.2),
+    F = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l2=0.2),
                            smoothing=0.1)
     x_hat = base_reference(F)
     assert F.duality_gap(x_hat) <= 1e-12
@@ -161,14 +153,14 @@ def test_base_reference_cache_identity():
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(15, 3))
         b = rng.normal(size=15)
-        F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(**reg))
+        F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(**reg))
         first = base_reference(F)
         again = base_reference(F)
         assert first is again            # in-memory cache hit
         with pytest.raises(ValueError):
             first[0] = 3.14              # read-only result
         # equal content under a fresh but identical objective
-        F2 = CompositeObjective(dense_ds(A, b), "squared", Regularizer(**reg))
+        F2 = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(**reg))
         assert base_reference(F2) is first
 
 
@@ -273,14 +265,14 @@ def test_l1_polish_grows_the_support_from_zero():
     # until the KKT conditions hold, and lands on the reference
     rng = np.random.default_rng(91)
     A = rng.normal(size=(40, 8))
-    F = CompositeObjective(dense_ds(A, rng.normal(size=40)), "squared",
+    F = CompositeObjective(dense_to_dataset(A, rng.normal(size=40)), "squared",
                            Regularizer(l1=0.05))
     x = references._polish_l1(F, A, F.data.labels, np.zeros(8))
     assert np.count_nonzero(x) >= 2
     assert np.array_equal(x, base_reference(F))
     rng = np.random.default_rng(92)
     A = rng.normal(size=(35, 6)) / np.sqrt(6)
-    F = CompositeObjective(dense_ds(A, labels(rng, 35)), "logistic",
+    F = CompositeObjective(dense_to_dataset(A, labels(rng, 35)), "logistic",
                            Regularizer(l1=0.02))
     x = references._polish_l1(F, A, F.data.labels, np.zeros(6))
     np.testing.assert_allclose(x, base_reference(F), atol=1e-12)

@@ -159,18 +159,6 @@ def test_conjugate_argmax_attains_the_supremum():
             assert float(u @ pert) - reg.value(pert) <= val + 1e-12
 
 
-def test_conjugate_argmax_on_some_coordinates_is_the_full_one_there():
-    # SDCA updates the primal iterate on one row's support at a time
-    rng = np.random.default_rng(14)
-    idx = np.array([4, 0, 2])
-    for with_l1 in (True, False):
-        for with_shift in (True, False):
-            reg = random_reg(rng, with_l1=with_l1, with_shift=with_shift)
-            u = rng.normal(size=5)
-            assert (reg.conjugate_argmax(u[idx], idx).tobytes()
-                    == reg.conjugate_argmax(u)[idx].tobytes())
-
-
 def test_conjugate_value_matches_grid():
     rng = np.random.default_rng(14)
     for _ in range(8):

@@ -10,27 +10,18 @@ import pytest
 from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          FixedIterations, NumericalError, PracticalGapQuarter,
                          PracticalGradThird, Regularizer, TheoryBudget,
-                         apg_hood, exact_oracle, gen_classification,
-                         gen_regression,
-                         prox_gd_hood,
+                         apg_hood, dense_to_dataset, exact_oracle,
+                         gen_classification, gen_regression, prox_gd_hood,
                          quadratic_reference, reference_minimize, sdca_hood,
                          svrg_hood)
 from adaptreduce import solvers
 from adaptreduce.solvers import _sdca_coordinate
 
 
-def dense_ds(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    return Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n),
-                   A.ravel().copy(), b, dim=d)
-
-
 def ridge(rng, n, d, l2):
     A = rng.normal(size=(n, d))
     b = rng.normal(size=n)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=l2))
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l2=l2))
     Q = A.T @ A / n + l2 * np.eye(d)
     c = A.T @ b / n
     x_star, val = quadratic_reference(Q, c)
@@ -38,7 +29,7 @@ def ridge(rng, n, d, l2):
     return F, x_star, F_star
 
 
-ONE_D = CompositeObjective(dense_ds(np.array([[1.0]]), np.array([3.0])),
+ONE_D = CompositeObjective(dense_to_dataset(np.array([[1.0]]), np.array([3.0])),
                            "squared", Regularizer(l2=1.0))
 # F(x) = (x-3)^2/2 + x^2/2: L = 1, sigma = 1, minimizer 1.5
 
@@ -93,7 +84,7 @@ def test_hood_quarter_decrease_svrg_in_expectation():
     n, d, l2 = 60, 6, 0.1
     A = rng.normal(size=(n, d)) / np.sqrt(d)
     b = rng.normal(size=n)
-    F = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l2=l2))
+    F = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l2=l2))
     _, val = quadratic_reference(A.T @ A / n + l2 * np.eye(d), A.T @ b / n)
     F_star = val + 0.5 * float(b @ b) / n
     x0 = rng.normal(size=d) * 2
@@ -318,7 +309,7 @@ def test_snapshot_stat_is_free_for_svrg_grad_policy():
 # ---------------------------------------------------------------------------
 
 def test_svrg_with_one_sample_is_prox_gd():
-    F = CompositeObjective(dense_ds(np.array([[1.0, 0.5]]), np.array([2.0])),
+    F = CompositeObjective(dense_to_dataset(np.array([[1.0, 0.5]]), np.array([2.0])),
                            "squared", Regularizer(l2=0.8))
     a = svrg_hood(F, np.zeros(2), FixedIterations(7), seed=9).x_out
     b = prox_gd_hood(F, np.zeros(2), FixedIterations(7)).x_out
@@ -418,10 +409,11 @@ def test_grad_policy_refuses_an_l1_term():
 def test_solvers_reject_non_case1():
     rng = np.random.default_rng(62)
     A = rng.normal(size=(6, 3))
-    flat = CompositeObjective(dense_ds(A, rng.normal(size=6)), "squared",
+    flat = CompositeObjective(dense_to_dataset(A, rng.normal(size=6)), "squared",
                               Regularizer(l1=0.1))  # Case2
-    sharp = CompositeObjective(dense_ds(A, np.where(rng.random(6) < 0.5, 1.0, -1.0)),
-                               "hinge", Regularizer(l2=0.5))  # Case3
+    y = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+    sharp = CompositeObjective(dense_to_dataset(A, y), "hinge",
+                               Regularizer(l2=0.5))  # Case3
     for solver in (prox_gd_hood, apg_hood, svrg_hood, sdca_hood):
         with pytest.raises(ConfigError, match="Case"):
             solver(flat, np.zeros(3), TheoryBudget(), seed=0)

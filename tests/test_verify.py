@@ -2,19 +2,11 @@
 import numpy as np
 import pytest
 
-from adaptreduce import (CHECK_NAMES, BoundCheck, CompositeObjective,
-                         ConfigError, Dataset, Regularizer, ScalarLoss,
+from adaptreduce import (BoundCheck, CHECK_NAMES, CompositeObjective,
+                         ConfigError, Regularizer, ScalarLoss,
                          brute_force_conjugate, brute_force_reg_conjugate,
-                         brute_force_smoothed, quadratic_reference,
-                         smoothed_value, verify_bound)
-
-
-def dense_ds(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    return Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n),
-                   A.ravel().copy(), b, dim=d)
+                         brute_force_smoothed, dense_to_dataset,
+                         quadratic_reference, smoothed_value, verify_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +103,9 @@ def smoke_instances(rng):
     A = rng.normal(size=(n, 5)) / np.sqrt(5)
     b = rng.normal(size=n)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    lasso = CompositeObjective(dense_ds(A, b), "squared", Regularizer(l1=0.03))
-    svm = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l2=0.3))
-    l1svm = CompositeObjective(dense_ds(A, y), "hinge", Regularizer(l1=0.03))
+    lasso = CompositeObjective(dense_to_dataset(A, b), "squared", Regularizer(l1=0.03))
+    svm = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l2=0.3))
+    l1svm = CompositeObjective(dense_to_dataset(A, y), "hinge", Regularizer(l1=0.03))
     return lasso, svm, l1svm
 
 
