@@ -390,6 +390,8 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     if F.n < 1:
         raise ConfigError("svrg_hood needs a finite-sum objective with n >= 1")
     L, sigma = F.smoothness, F.strong_convexity
+    if L <= 0.0:
+        L = sigma  # all-zero rows: the step of _prox_gradient's constant f
     eta = 1.0 / L
     n = F.n
     m = max(1, math.ceil(8.0 * L / sigma))

@@ -1,13 +1,14 @@
 """Sparse dataset container, text parsing, and row arithmetic."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adaptreduce
-from adaptreduce import (DataError, Dataset, gen_classification, matvec,
-                         normalize_rows, parse_libsvm, rmatvec, row_dot,
-                         serialize_libsvm)
+from adaptreduce import (DataError, Dataset, gen_classification,
+                         gen_regression, matvec, normalize_rows, parse_libsvm,
+                         rmatvec, row_dot, serialize_libsvm)
 from adaptreduce import data as data_mod
 from adaptreduce.data import CsrMatrix, gram
 
@@ -102,6 +103,39 @@ def test_parse_empty_row_allowed():
     assert ds.row_sq_norms()[1] == 0.0
 
 
+@pytest.mark.parametrize("text,message", [
+    ("nan 1:1\n", "line 1: non-finite label 'nan'"),
+    ("1 1:1\n-inf 2:1\n", "line 2: non-finite label '-inf'"),
+    ("1 1:1 2:0.5\n-1 1:nan 2:1\n", "line 2: non-finite feature value '1:nan'"),
+    ("# c\n\n1 1:1\n1 3:1e999\n", "line 4: non-finite feature value '3:1e999'"),
+    ("1 1:1\n1 1:-Infinity 2:x\n", "line 2: non-finite feature value '1:-Infinity'"),
+])
+def test_parse_rejects_non_finite_numbers(text, message):
+    with pytest.raises(DataError) as err:
+        parse_libsvm(text)
+    assert str(err.value) == message
+
+
+def test_parse_rejects_an_index_beyond_int64():
+    with pytest.raises(DataError, match="line 2: bad feature token"):
+        parse_libsvm("1 1:1\n1 9223372036854775808:1\n")
+    assert parse_libsvm("1 9223372036854775807:1\n").dim == 2 ** 63 - 1
+
+
+def test_parse_peak_memory_bounded():
+    # the per-token parser this one replaced peaked at 3351514 bytes (Python
+    # 3.11, numpy 2.4); a conversion batch that grows with the file breaks
+    # the bound
+    text = serialize_libsvm(gen_regression(11, 500, 100))
+    tracemalloc.start()
+    try:
+        parse_libsvm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 3351514
+
+
 def test_round_trip_identity():
     rng = np.random.default_rng(20)
     ds = random_sparse(rng, 12, 7)
@@ -129,6 +163,19 @@ def test_dataset_validation():
     with pytest.raises(DataError):  # decreasing indptr
         Dataset(np.array([0, 2, 1]), np.array([0, 0, 0]), np.ones(3),
                 np.ones(2), dim=1)
+
+
+def test_dataset_rejects_non_finite_numbers_naming_the_row():
+    indptr, indices = np.array([0, 2, 2, 4]), np.array([0, 1, 0, 2])
+    with pytest.raises(DataError, match="row 2: non-finite feature value inf"):
+        Dataset(indptr, indices, np.array([1.0, 2.0, np.inf, 3.0]),
+                np.ones(3), dim=3)
+    with pytest.raises(DataError, match="row 0: non-finite feature value nan"):
+        Dataset(indptr, indices, np.array([1.0, np.nan, 1.0, 3.0]),
+                np.ones(3), dim=3)
+    with pytest.raises(DataError, match="row 1: non-finite label nan"):
+        Dataset(indptr, indices, np.ones(4), np.array([1.0, np.nan, 1.0]),
+                dim=3)
 
 
 def test_row_dot_hand_anchor():

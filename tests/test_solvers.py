@@ -421,6 +421,20 @@ def test_solvers_reject_non_case1():
             solver(sharp, np.zeros(3), TheoryBudget(), seed=0)
 
 
+def test_oracles_return_on_all_zero_rows():
+    # all-zero rows make the loss constant (smoothness 0); the prox-gradient
+    # oracles and SVRG then step at 1/sigma
+    F = CompositeObjective(dense_to_dataset(np.zeros((4, 3)), np.ones(4)),
+                           "squared", Regularizer(l2=0.5))
+    assert F.smoothness == 0.0
+    x0 = np.ones(3)
+    for solver in (prox_gd_hood, apg_hood, svrg_hood, sdca_hood):
+        for policy in (TheoryBudget(), PracticalGradThird()):
+            rep = solver(F, x0, policy, seed=1, pass_cap=20.0)
+            assert np.all(np.isfinite(rep.x_out))
+            assert F.full_value(rep.x_out) < F.full_value(x0)
+
+
 # ---------------------------------------------------------------------------
 # reference and exact oracle
 # ---------------------------------------------------------------------------
