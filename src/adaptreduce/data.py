@@ -53,6 +53,7 @@ class Dataset:
     _row_sq_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _dense_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _csr_cache: CsrMatrix | None = field(default=None, repr=False, compare=False)
+    _step_rows_cache: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -108,9 +109,13 @@ class Dataset:
     def step_rows(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """`row(i)` for every row, except that a row storing all dim columns
         has indices None: its strictly increasing indices are 0..dim-1, so
-        its values are the dense row and a step needs no gather or scatter."""
-        return [(None if len(idx) == self.dim else idx, val)
+        its values are the dense row and a step needs no gather or scatter.
+        Cached: every stochastic oracle call reads the same list."""
+        if self._step_rows_cache is None:
+            self._step_rows_cache = [
+                (None if len(idx) == self.dim else idx, val)
                 for idx, val in map(self.row, range(self.n))]
+        return self._step_rows_cache
 
     def row_sq_norms(self) -> np.ndarray:
         """Squared Euclidean norm of every row (cached)."""

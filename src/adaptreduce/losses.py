@@ -214,9 +214,9 @@ def scalar_deriv(kind, lam=None):
     """The function (z, b) -> float equal bit for bit to smoothed_deriv(kind,
     z, b, lam), or to loss_deriv(kind, z, b) when lam is None.
 
-    Squared and hinge use closed forms of + - * / min max only, which are
-    exactly rounded; logistic needs exp and log, where math and numpy
-    differ in the last bit, so it calls the vector functions."""
+    Squared and hinge use closed forms of + - * / and comparisons only,
+    which are exactly rounded; logistic needs exp and log, where math and
+    numpy differ in the last bit, so it calls the vector functions."""
     _check_kind(kind)
     if lam is not None and lam <= 0.0:
         raise ConfigError("smoothing parameter must be positive")
@@ -226,8 +226,18 @@ def scalar_deriv(kind, lam=None):
     if kind == "hinge" and lam is None:
         return lambda z, b: -b if b * z <= 1.0 else 0.0
     if kind == "hinge":
-        return lambda z, b: (0.0 if b == 0.0 else
-                             b * min(max((b * z - 1.0) / (lam * b * b), -1.0), 0.0))
+        def smoothed_hinge(z, b):
+            if b == 0.0:
+                return 0.0
+            u = (b * z - 1.0) / (lam * b * b)
+            # clip u to [-1, 0]: the float min(max(u, -1.0), 0.0) gives,
+            # signed zeros and NaN included, without two builtin calls
+            if u < -1.0:
+                u = -1.0
+            if u > 0.0:
+                u = 0.0
+            return b * u
+        return smoothed_hinge
     if lam is None:
         return lambda z, b: float(loss_deriv(kind, z, b))
     return lambda z, b: float(smoothed_deriv(kind, z, b, lam))

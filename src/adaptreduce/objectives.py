@@ -170,8 +170,11 @@ class CompositeObjective:
         if self.strong_convexity <= 0.0:
             raise ConfigError("duality gap unavailable: psi is not strongly convex")
         x = np.asarray(x, dtype=float)
-        alpha = self.loss_derivs(self.margins(x), allow_subgradient=True)
-        return self.full_value(x) - self.dual_value(alpha)
+        z = self.margins(x)  # one matvec serves both the primal and alpha
+        f = float(self.loss_values(z).mean()) if self.n else 0.0
+        primal = f + self.reg.value(x)  # full_value(x), from the same z
+        alpha = self.loss_derivs(z, allow_subgradient=True)
+        return primal - self.dual_value(alpha)
 
     # -- transforms ------------------------------------------------------
     def regularize(self, weight: float, center) -> "CompositeObjective":

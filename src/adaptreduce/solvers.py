@@ -49,15 +49,19 @@ formulas give:
   and writing a result into a buffer changes none of its bits;
 - psi's prox and conjugate maximizer are `regularizers._shrink`, the one
   soft-threshold, on constants `prox_terms` and `conjugate_terms` compute
-  once per call; the constants a full row meets are d-float arrays, which
-  numpy takes faster than Python floats, and `x.dot` stands in for `x @`,
-  the same BLAS dot at less call cost;
+  once per call; numpy takes an array operand faster than a Python float,
+  so the constants a full row meets are d-float arrays, those the SDCA
+  step meets on a row's support are 0-d arrays, and the step's own scalar
+  delta/n is written into a 0-d array; `x.dot` stands in for `x @`, the
+  same BLAS dot at less call cost;
 - a scalar closed form stands in for a numpy call only where it needs
-  nothing but + - * / min max, which are exactly rounded; exp and log stay
-  numpy calls, because math's differ in the last bit.  The one exception is
-  the logistic SDCA coordinate, a safeguarded Newton solve on math.exp: no
-  vectorized function fixes its bits, and numpy scalar calls would cost
-  more than the 3 to 5 Newton steps it takes.
+  nothing but + - * / and comparisons, which are exactly rounded; exp and
+  log stay numpy calls, because math's differ in the last bit.  The one
+  exception is the logistic SDCA coordinate, a safeguarded Newton solve on
+  math.exp: no vectorized function fixes its bits, and numpy scalar calls
+  would cost more than the 3 to 5 Newton steps it takes.  That loop calls
+  no builtin: abs, min and max are written as the comparisons that give
+  the same floats.
 """
 from __future__ import annotations
 
@@ -76,6 +80,8 @@ STAT_FLOOR = 1e-14   # policies stop unconditionally below this statistic
 _ITER_GUARD = 10 ** 8  # hard safety limit on steps in one invocation
 _NEWTON_CAP = 100     # Newton steps allowed to one logistic SDCA coordinate
 _NEWTON_TOL = 1e-9    # relative size of the last Newton step taken
+# the Newton coordinate solve's math functions, one name lookup a call
+_exp, _log, _log1p, _nextafter = math.exp, math.log, math.log1p, math.nextafter
 
 
 # ---------------------------------------------------------------------------
@@ -475,33 +481,49 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
         return (z - b + q * alpha_i) / (1.0 + lam + q)
     if b == 0.0:
         return 0.0  # the conjugate's domain is the single point 0
-    lo, hi = min(-b, 0.0), max(-b, 0.0)
     if kind == "hinge":
         if lam + q <= 0.0:
             return -b  # zero row, unsmoothed: dual is linear, pick its argmax
         s = (z - 1.0 / b + q * alpha_i) / (lam + q)
-        return min(max(s, lo), hi)
+        return min(max(s, min(-b, 0.0)), max(-b, 0.0))
     # logistic: in the logit t of -s/b the condition is g(t) = 0 with
     # g(t) = t - r + w sigmoid(t), g' >= 1, and its root lies in [r - w, r].
     # The bracket's ends sit one ulp outside, so a root that rounds onto one
     # is reachable; a point already evaluated never is again (no 2-cycles).
+    # No builtin is called: each conditional below gives the float that
+    # abs, min or max gives, NaN included (a comparison with NaN is false).
     w = (lam + q) * b * b
     r = -b * (z + q * alpha_i)
-    lo, hi = math.nextafter(r - w, -math.inf), math.nextafter(r, math.inf)
+    r_lo = r - w
+    lo, hi = _nextafter(r_lo, -math.inf), _nextafter(r, math.inf)
     u = -alpha_i / b
-    t = (min(max(math.log(u) - math.log1p(-u), r - w), r) if 0.0 < u < 1.0
-         else r - 0.5 * w)
+    if 0.0 < u < 1.0:
+        t = _log(u) - _log1p(-u)  # alpha_i's logit, clamped into [r_lo, r]
+        if t < r_lo:
+            t = r_lo
+        if t > r:
+            t = r
+    else:
+        t = r - 0.5 * w
     for _ in range(_NEWTON_CAP):
-        e = math.exp(-abs(t))
-        d = 1.0 + e
-        g = t - r + w * (1.0 / d if t >= 0.0 else e / d)
+        # e = exp(-|t|) and g = t - r + w sigmoid(t) on either side of 0
+        if t >= 0.0:
+            e = _exp(-t)
+            d = 1.0 + e
+            g = t - r + w * (1.0 / d)
+            tol = _NEWTON_TOL * t if t > 1.0 else _NEWTON_TOL
+        else:
+            e = _exp(t)
+            d = 1.0 + e
+            g = t - r + w * (e / d)
+            tol = _NEWTON_TOL * -t if t < -1.0 else _NEWTON_TOL
         if g < 0.0:
             lo = t
         else:
             hi = t
         step = g / (1.0 + w * e / (d * d))
         t_new = t - step
-        if abs(step) <= _NEWTON_TOL * max(1.0, abs(t)):
+        if -tol <= step <= tol:
             t = t_new
             break
         if t * t_new < 0.0:
@@ -513,8 +535,10 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
         raise NumericalError(
             f"logistic SDCA Newton: no convergence in {_NEWTON_CAP} steps"
             f" (b={b!r}, lam={lam!r}, alpha_i={alpha_i!r}, z={z!r}, q={q!r})")
-    e = math.exp(-abs(t))
-    return -b * (1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e))
+    if t >= 0.0:
+        return -b * (1.0 / (1.0 + _exp(-t)))
+    e = _exp(t)
+    return -b * (e / (1.0 + e))
 
 
 def _sdca_sweeper(F, lam, alpha, v, x):
@@ -529,9 +553,13 @@ def _sdca_sweeper(F, lam, alpha, v, x):
     q = (F.data.row_sq_norms() / (F.strong_convexity * n)).tolist()
     loss = F.loss
     shift, sigma, tau = F.reg.conjugate_terms()
-    # a full row's constants as arrays: numpy 2 takes them faster than floats
+    # constants as arrays, which numpy 2 takes faster than Python floats:
+    # d floats for a full row, 0-d for a row's support; delta/n is written
+    # into its 0-d array at each step
     sigmas, zeros = np.full(F.dim, sigma), np.zeros(F.dim)
     taus = None if tau is None else np.full(F.dim, tau)
+    sigma0, zero0, dn = np.array(sigma), np.zeros(()), np.zeros(())
+    tau0 = None if tau is None else np.array(tau)
     t = np.empty(F.dim)  # a full row's step, then the shrink's scratch
 
     def sweep(indices):
@@ -543,8 +571,9 @@ def _sdca_sweeper(F, lam, alpha, v, x):
             if delta == 0.0:
                 continue
             alpha[i] = s
+            dn[()] = delta / n
             if ridx is None:
-                np.multiply(rval, delta / n, t)
+                np.multiply(rval, dn, t)
                 np.subtract(v, t, v)
                 if shift is None:
                     np.divide(v, sigmas, x)
@@ -553,12 +582,18 @@ def _sdca_sweeper(F, lam, alpha, v, x):
                     np.divide(x, sigmas, x)
                 _shrink(x, taus, zeros, t, x)
             else:
-                vi = v[ridx] - (delta / n) * rval
+                step = np.multiply(rval, dn)
+                vi = v[ridx]
+                np.subtract(vi, step, vi)
                 v[ridx] = vi
                 if shift is not None:
                     vi += shift[ridx]
-                vi /= sigma
-                x[ridx] = _shrink(vi, tau, 0.0, t[:len(vi)], vi)
+                np.divide(vi, sigma0, vi)
+                if tau is None:
+                    np.add(vi, zero0, vi)  # _shrink at tau = 0
+                else:
+                    _shrink(vi, tau0, zero0, step, vi)
+                x[ridx] = vi
 
     return sweep
 

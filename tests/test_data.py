@@ -261,6 +261,35 @@ def test_normalize_rows_rejects_all_zero():
         normalize_rows(ds)
 
 
+def test_step_rows_are_built_once_per_dataset():
+    # every oracle call reads one cached list; a dataset made from another,
+    # scaled or with its rows reordered, builds its own from its own rows
+    rng = np.random.default_rng(25)
+    ds = random_sparse(rng, 30, 6, density=0.8)
+    rows = ds.step_rows()
+    assert ds.step_rows() is rows
+    assert {idx is None for idx, _ in rows} == {True, False}
+    perm = rng.permutation(ds.n)
+    take = np.concatenate([np.arange(ds.indptr[i], ds.indptr[i + 1])
+                           for i in perm])
+    indptr = np.concatenate(([0], np.cumsum(np.diff(ds.indptr)[perm])))
+    permuted = Dataset(indptr, ds.indices[take], ds.values[take],
+                       ds.labels[perm], dim=ds.dim)
+    scaled = normalize_rows(ds)
+    scale = np.sqrt(ds.row_sq_norms()).mean()
+    for other, order, div in ((scaled, range(ds.n), scale),
+                              (permuted, perm, 1.0)):
+        got = other.step_rows()
+        assert got is not rows and other.step_rows() is got
+        for (idx, val), i in zip(got, order, strict=True):
+            want_idx, want_val = rows[i]
+            assert (idx is None) == (want_idx is None)
+            if idx is not None:
+                np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(val, want_val / div)
+            assert np.shares_memory(val, other.values)
+
+
 def test_content_bytes_distinguishes_datasets():
     rng = np.random.default_rng(25)
     ds = random_sparse(rng, 5, 4)

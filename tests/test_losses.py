@@ -254,6 +254,28 @@ def test_scalar_deriv_is_bit_equal_to_the_vector_functions():
                 assert np.array(got).tobytes() == want.tobytes(), (kind, lam, b)
 
 
+def test_smoothed_hinge_scalar_deriv_keeps_its_bits_at_the_clamp_edges():
+    # the closure clips u = (b z - 1) / (lam b^2) to [-1, 0] by comparisons:
+    # at u = -1 and u = 0 exactly and one ulp either side, at b = 0 and at
+    # b < 0, it must give smoothed_deriv's float, signed zeros included
+    lam = 0.5
+    deriv = scalar_deriv("hinge", lam)
+    edges_met, zero_signs = set(), set()
+    for b in (1.0, -1.0, 2.0, -0.5, 0.0):
+        z = [0.0, -0.0, 3.0, -3.0]
+        if b != 0.0:
+            for edge in ((1.0 - lam * b * b) / b, 1.0 / b):  # u = -1, u = 0
+                z += [edge, math.nextafter(edge, math.inf),
+                      math.nextafter(edge, -math.inf)]
+            u = [(b * zi - 1.0) / (lam * b * b) for zi in z]
+            edges_met.update(e for e in (-1.0, 0.0) if e in u)
+        got = np.array([deriv(zi, b) for zi in z])
+        want = smoothed_deriv("hinge", np.array(z), b, lam)
+        assert got.tobytes() == want.tobytes(), b
+        zero_signs.update(np.signbit(got[got == 0.0]).tolist())
+    assert edges_met == {-1.0, 0.0} and zero_signs == {True, False}
+
+
 def test_smoothed_gradient_is_lipschitz_with_inverse_lambda():
     rng = np.random.default_rng(8)
     for kind in KINDS:

@@ -5,6 +5,7 @@ import pytest
 
 from adaptreduce import (Case, CompositeObjective, ConfigError, Regularizer,
                          dense_to_dataset, quadratic_reference)
+from adaptreduce import data as data_mod
 
 
 def random_objective(rng, loss, reg, n=8, d=5, smoothing=None):
@@ -145,6 +146,25 @@ def test_duality_gap_zero_at_ridge_minimizer():
     x_star, _ = quadratic_reference(A.T @ A / 6 + l2 * np.eye(3), A.T @ b / 6)
     assert F.duality_gap(x_star) == pytest.approx(0.0, abs=1e-10)
     assert F.duality_gap(x_star + 0.1) > 1e-4
+
+
+def test_duality_gap_takes_one_matvec(monkeypatch):
+    # the primal value and the dual point share one set of margins, and
+    # the gap is still the float full_value(x) - dual_value(f'(Ax)) gives
+    rng = np.random.default_rng(40)
+    for loss, lam in (("squared", None), ("logistic", None), ("hinge", 0.2)):
+        F = random_objective(rng, loss, Regularizer(l2=0.5, l1=0.05), n=10,
+                             d=4, smoothing=lam)
+        x = rng.normal(size=F.dim)
+        alpha = F.loss_derivs(F.margins(x), allow_subgradient=True)
+        want = F.full_value(x) - F.dual_value(alpha)
+        calls = []
+        real = data_mod.matvec
+        monkeypatch.setattr(data_mod, "matvec",
+                            lambda ds, v: calls.append(1) or real(ds, v))
+        assert F.duality_gap(x).hex() == want.hex()
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_duality_gap_requires_strong_convexity():

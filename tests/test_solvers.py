@@ -167,6 +167,32 @@ def test_logistic_sdca_coordinate_matches_bisection(monkeypatch):
     assert worst <= 2e-15
 
 
+def newton_grid():
+    """1800 logistic coordinate inputs that reach every branch of the
+    Newton solve: b = 0, alpha_i at both ends of the domain and inside it
+    (its logit clamped from below, from above and not at all), 267 sign
+    crossings reset to 0 and 6 steps that leave the bracket and bisect
+    (at q = 3000)."""
+    grid = []
+    for b in (1.0, -1.0, 2.5, -0.3, 0.0):
+        for lam in (0.0, 1e-3, 0.5):
+            for u in (0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0):  # alpha_i = -u b
+                for z in (-40.0, -2.0, 0.0, 0.7, 5.0, 40.0):
+                    for q in (1e-6, 0.3, 50.0, 3000.0):
+                        grid.append((b, lam, -u * b, z, q))
+    return grid
+
+
+def test_logistic_sdca_coordinate_keeps_its_bits():
+    # the digest was taken before the Newton loop lost its builtin calls:
+    # the matches-bisection test bounds the error only, so a rewrite that
+    # moved the last bit would pass it, not this one
+    out = np.array([_sdca_coordinate("logistic", *args)
+                    for args in newton_grid()])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "e6ce8d3abc26726079f944ab3022bf9a716430dcad84b229ec787c80dba8fc42")
+
+
 def test_logistic_sdca_coordinate_guard_names_its_inputs(monkeypatch):
     with pytest.raises(NumericalError, match=r"z=nan"):
         _sdca_coordinate("logistic", 1.0, 0.0, -0.5, float("nan"), 1.0)
