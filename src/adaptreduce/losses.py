@@ -16,8 +16,6 @@ vectorized over z / beta / b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -248,37 +246,3 @@ def smoothed_conjugate(kind, beta, b, lam):
     beta = np.asarray(beta, dtype=float)
     return loss_conjugate(kind, beta, b) + 0.5 * lam * beta ** 2
 
-
-# ---------------------------------------------------------------------------
-# scalar wrappers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarLoss:
-    """One loss term f(z) with its label b."""
-
-    kind: str
-    b: float = 1.0
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-
-    def value(self, z: float) -> float:
-        return float(loss_value(self.kind, z, self.b))
-
-    def subgradient(self, z: float) -> float:
-        return float(loss_deriv(self.kind, z, self.b))
-
-    def conjugate(self, beta: float) -> float:
-        return float(loss_conjugate(self.kind, beta, self.b))
-
-    def conjugate_domain(self) -> tuple[float, float]:
-        return conjugate_domain(self.kind, self.b)
-
-    @property
-    def lipschitz(self) -> float:
-        return float(loss_lipschitz(self.kind, self.b))
-
-    @property
-    def smoothness(self) -> float:
-        return float(loss_smoothness(self.kind, self.b))

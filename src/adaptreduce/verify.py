@@ -1,13 +1,9 @@
-"""Independent verification oracles and analysis-inequality checks.
+"""Analysis-inequality checks over an exact oracle.
 
-The brute-force functions recompute smoothing/conjugacy by direct grid
-maximization so the closed forms in `losses`/`regularizers` can be tested
-against something that shares no code with them.  `quadratic_reference`
-supplies exact minimizers for solver certification.  `verify_bound` runs a
-reduction over `exact_oracle` (every epoch solved to machine tolerance by a
-certified reference), records each epoch's initial gap D_t in its wrapper of
-that oracle, and measures each inequality the adaptive analysis promises,
-returning per-epoch pass/fail records.
+`verify_bound` runs a reduction over `exact_oracle` (every epoch solved to
+machine tolerance by a certified reference), records each epoch's initial
+gap D_t in its wrapper of that oracle, and measures each inequality the
+adaptive analysis promises, returning per-epoch pass/fail records.
 """
 from __future__ import annotations
 
@@ -17,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import ScalarLoss, loss_conjugate, loss_value
 from .objectives import CompositeObjective
 from .reductions import HALVING, ReductionParams, adapt_reg, adapt_smooth, joint_adapt
 from .references import base_reference
-from .regularizers import Regularizer
 from .solvers import OracleReport
 
 CHECK_NAMES = (
@@ -74,89 +68,6 @@ class BoundReport:
             lines.append(f"  {mark} {c.label}: lhs={c.lhs:.6e} rhs={c.rhs:.6e} "
                          f"slack={c.slack:.3e}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    k = max(1, int(math.ceil((hi - lo) / step)))
-    return np.linspace(lo, hi, k + 1)
-
-
-def brute_force_smoothed(loss: ScalarLoss, lam: float, z: float,
-                         grid_step: float = 1e-5) -> float:
-    """max over a beta-grid of beta*z - conj(beta) - lam/2 beta^2.
-
-    Grid restricted to the conjugate domain (bracketed for the squared loss,
-    whose domain is the whole line).  Never calls the closed-form smoothing.
-    """
-    if grid_step <= 0.0:
-        raise ConfigError("grid_step must be positive")
-    lo, hi = loss.conjugate_domain()
-    if math.isinf(lo) or math.isinf(hi):
-        width = abs(z) + abs(loss.b) + 10.0
-        lo, hi = -width, width
-    if lo > hi:
-        raise ConfigError("empty conjugate domain")
-    if hi - lo < grid_step:
-        betas = np.array([lo, 0.5 * (lo + hi), hi])
-    else:
-        betas = _grid(lo, hi, grid_step)
-    vals = (betas * z - loss_conjugate(loss.kind, betas, loss.b)
-            - 0.5 * lam * betas * betas)
-    return float(vals.max())
-
-
-def brute_force_conjugate(loss: ScalarLoss, beta: float,
-                          half_width: float = 60.0,
-                          grid_step: float = 1e-4) -> float:
-    """sup over a z-grid of beta*z - loss(z), with one refinement pass."""
-    lo, hi = -half_width, half_width
-    for _ in range(3):
-        zs = _grid(lo, hi, grid_step)
-        vals = beta * zs - loss_value(loss.kind, zs, loss.b)
-        j = int(np.argmax(vals))
-        lo = zs[max(0, j - 1)]
-        hi = zs[min(len(zs) - 1, j + 1)]
-        grid_step = max((hi - lo) / 400.0, 1e-13)
-    return float(vals[j])
-
-
-def brute_force_reg_conjugate(reg: Regularizer, u: np.ndarray,
-                              half_width: float = 60.0,
-                              grid_step: float = 1e-4) -> float:
-    """Coordinate-separable sup of <u, x> - psi(x) by per-coordinate grids."""
-    u = np.asarray(u, dtype=float)
-    total = 0.0
-    sw = reg.shift_weight
-    for j, uj in enumerate(u):
-        cj = reg.shift_center[j] if sw > 0.0 else 0.0
-        lo, hi = -half_width, half_width
-        step = grid_step
-        best = -np.inf
-        for _ in range(3):
-            xs = _grid(lo, hi, step)
-            vals = (uj * xs - reg.l1 * np.abs(xs) - 0.5 * reg.l2 * xs * xs
-                    - 0.5 * sw * (xs - cj) ** 2)
-            k = int(np.argmax(vals))
-            best = float(vals[k])
-            lo = xs[max(0, k - 1)]
-            hi = xs[min(len(xs) - 1, k + 1)]
-            step = max((hi - lo) / 400.0, 1e-13)
-        total += best
-    return total - reg.const
-
-
-def quadratic_reference(Q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimizer and value of 1/2 x'Qx - b'x for PD symmetric Q."""
-    Q = np.asarray(Q, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.linalg.eigvalsh(Q).min() <= 0.0:
-        raise ConfigError("quadratic_reference requires a positive definite matrix")
-    x = np.linalg.solve(Q, b)
-    return x, float(-0.5 * (b @ x))
 
 
 def exact_oracle(F: CompositeObjective, x0, policy=None, *, seed=None,

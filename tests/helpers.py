@@ -1,0 +1,128 @@
+"""Test-only reference computations that share no code with the closed
+forms they check.
+
+The brute-force functions recompute smoothing and conjugacy by direct grid
+maximization, so the closed forms in `adaptreduce.losses` and
+`adaptreduce.regularizers` can be tested against something independent;
+`ScalarLoss` is the one-term loss they take.  `quadratic_reference` gives
+exact minimizers of quadratics for solver certification.
+"""
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from adaptreduce import (ConfigError, Regularizer, conjugate_domain,
+                         loss_conjugate, loss_deriv, loss_lipschitz,
+                         loss_smoothness, loss_value)
+from adaptreduce.losses import _check_kind
+
+
+@dataclass(frozen=True)
+class ScalarLoss:
+    """One loss term f(z) with its label b."""
+
+    kind: str
+    b: float = 1.0
+
+    def __post_init__(self):
+        _check_kind(self.kind)
+
+    def value(self, z: float) -> float:
+        return float(loss_value(self.kind, z, self.b))
+
+    def subgradient(self, z: float) -> float:
+        return float(loss_deriv(self.kind, z, self.b))
+
+    def conjugate(self, beta: float) -> float:
+        return float(loss_conjugate(self.kind, beta, self.b))
+
+    def conjugate_domain(self) -> tuple[float, float]:
+        return conjugate_domain(self.kind, self.b)
+
+    @property
+    def lipschitz(self) -> float:
+        return float(loss_lipschitz(self.kind, self.b))
+
+    @property
+    def smoothness(self) -> float:
+        return float(loss_smoothness(self.kind, self.b))
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    k = max(1, int(math.ceil((hi - lo) / step)))
+    return np.linspace(lo, hi, k + 1)
+
+
+def brute_force_smoothed(loss: ScalarLoss, lam: float, z: float,
+                         grid_step: float = 1e-5) -> float:
+    """max over a beta-grid of beta*z - conj(beta) - lam/2 beta^2.
+
+    Grid restricted to the conjugate domain (bracketed for the squared loss,
+    whose domain is the whole line).  Never calls the closed-form smoothing.
+    """
+    if grid_step <= 0.0:
+        raise ConfigError("grid_step must be positive")
+    lo, hi = loss.conjugate_domain()
+    if math.isinf(lo) or math.isinf(hi):
+        width = abs(z) + abs(loss.b) + 10.0
+        lo, hi = -width, width
+    if lo > hi:
+        raise ConfigError("empty conjugate domain")
+    if hi - lo < grid_step:
+        betas = np.array([lo, 0.5 * (lo + hi), hi])
+    else:
+        betas = _grid(lo, hi, grid_step)
+    vals = (betas * z - loss_conjugate(loss.kind, betas, loss.b)
+            - 0.5 * lam * betas * betas)
+    return float(vals.max())
+
+
+def brute_force_conjugate(loss: ScalarLoss, beta: float,
+                          half_width: float = 60.0,
+                          grid_step: float = 1e-4) -> float:
+    """sup over a z-grid of beta*z - loss(z), with one refinement pass."""
+    lo, hi = -half_width, half_width
+    for _ in range(3):
+        zs = _grid(lo, hi, grid_step)
+        vals = beta * zs - loss_value(loss.kind, zs, loss.b)
+        j = int(np.argmax(vals))
+        lo = zs[max(0, j - 1)]
+        hi = zs[min(len(zs) - 1, j + 1)]
+        grid_step = max((hi - lo) / 400.0, 1e-13)
+    return float(vals[j])
+
+
+def brute_force_reg_conjugate(reg: Regularizer, u: np.ndarray,
+                              half_width: float = 60.0,
+                              grid_step: float = 1e-4) -> float:
+    """Coordinate-separable sup of <u, x> - psi(x) by per-coordinate grids."""
+    u = np.asarray(u, dtype=float)
+    total = 0.0
+    sw = reg.shift_weight
+    for j, uj in enumerate(u):
+        cj = reg.shift_center[j] if sw > 0.0 else 0.0
+        lo, hi = -half_width, half_width
+        step = grid_step
+        best = -np.inf
+        for _ in range(3):
+            xs = _grid(lo, hi, step)
+            vals = (uj * xs - reg.l1 * np.abs(xs) - 0.5 * reg.l2 * xs * xs
+                    - 0.5 * sw * (xs - cj) ** 2)
+            k = int(np.argmax(vals))
+            best = float(vals[k])
+            lo = xs[max(0, k - 1)]
+            hi = xs[min(len(xs) - 1, k + 1)]
+            step = max((hi - lo) / 400.0, 1e-13)
+        total += best
+    return total - reg.const
+
+
+def quadratic_reference(Q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact minimizer and value of 1/2 x'Qx - b'x for PD symmetric Q."""
+    Q = np.asarray(Q, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.linalg.eigvalsh(Q).min() <= 0.0:
+        raise ConfigError("quadratic_reference requires a positive definite matrix")
+    x = np.linalg.solve(Q, b)
+    return x, float(-0.5 * (b @ x))

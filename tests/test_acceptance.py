@@ -15,9 +15,10 @@ from adaptreduce import (CompositeObjective, ExperimentConfig, Regularizer,
                          TheoryBudget, apg_hood, base_reference,
                          classical_smooth, dense_to_dataset,
                          gen_classification, gen_regression, loss_value,
-                         prox_gd_hood, quadratic_reference, reference_minimize,
-                         run_experiment, smoothed_value, svrg_hood,
-                         verify_bound, write_dataset)
+                         prox_gd_hood, reference_minimize, run_experiment,
+                         smoothed_value, svrg_hood, verify_bound,
+                         write_dataset)
+from helpers import quadratic_reference
 
 
 def ridge_reference(data, l2):

@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from adaptreduce import (ConfigError, ScalarLoss, brute_force_conjugate,
-                         brute_force_smoothed, conjugate_domain,
-                         loss_conjugate, loss_deriv, loss_lipschitz,
-                         loss_smoothness, loss_value, smoothed_conjugate,
-                         smoothed_deriv, smoothed_value)
+from adaptreduce import (ConfigError, conjugate_domain, loss_conjugate,
+                         loss_deriv, loss_lipschitz, loss_smoothness,
+                         loss_value, smoothed_conjugate, smoothed_deriv,
+                         smoothed_value)
 from adaptreduce.losses import _smoothed_value_and_deriv, scalar_deriv
+from helpers import ScalarLoss, brute_force_conjugate, brute_force_smoothed
 
 KINDS = ("squared", "logistic", "hinge")
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from adaptreduce import (Case, CompositeObjective, ConfigError, Regularizer,
-                         dense_to_dataset, quadratic_reference)
+                         dense_to_dataset)
 from adaptreduce import data as data_mod
+from helpers import quadratic_reference
 
 
 def random_objective(rng, loss, reg, n=8, d=5, smoothing=None):

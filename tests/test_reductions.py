@@ -9,12 +9,12 @@ import pytest
 
 from adaptreduce import (Case, CompositeObjective, ConfigError,
                          FixedIterations, HALVING, PracticalGapQuarter,
-                         ReductionParams, Regularizer, adapt_reg,
-                         adapt_smooth, apg_hood, base_reference,
-                         classical_reg, classical_smooth, default_params,
-                         dense_to_dataset, exact_oracle, joint_adapt,
-                         quadratic_reference, sdca_hood, svrg_hood)
+                         ReductionParams, Regularizer, adapt_reg, adapt_smooth,
+                         apg_hood, base_reference, classical_reg,
+                         classical_smooth, default_params, dense_to_dataset,
+                         exact_oracle, joint_adapt, sdca_hood, svrg_hood)
 from adaptreduce import reductions
+from helpers import quadratic_reference
 
 
 def least_squares(rng, n=20, d=4):

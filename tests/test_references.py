@@ -11,10 +11,11 @@ import pytest
 from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
                          NumericalError, Regularizer, base_reference,
                          dense_to_dataset, gen_classification, gen_regression,
-                         quadratic_reference, run_experiment, write_dataset)
+                         run_experiment, write_dataset)
 from adaptreduce import data as data_mod
 from adaptreduce import harness, references, solvers
 from adaptreduce.cli import main
+from helpers import quadratic_reference
 from test_golden import sparsify
 
 

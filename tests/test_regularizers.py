@@ -6,9 +6,9 @@ optimality perturbation checks, and hand-computed closed forms.
 import numpy as np
 import pytest
 
-from adaptreduce import (ConfigError, Regularizer, brute_force_reg_conjugate,
-                         soft_threshold)
+from adaptreduce import ConfigError, Regularizer, soft_threshold
 from adaptreduce.regularizers import _shrink
+from helpers import brute_force_reg_conjugate
 
 
 def random_reg(rng, with_l1=True, with_l2=True, with_shift=True, d=5):

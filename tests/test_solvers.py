@@ -12,10 +12,10 @@ from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          PracticalGradThird, Regularizer, TheoryBudget,
                          apg_hood, dense_to_dataset, exact_oracle,
                          gen_classification, gen_regression, prox_gd_hood,
-                         quadratic_reference, reference_minimize, sdca_hood,
-                         svrg_hood)
+                         reference_minimize, sdca_hood, svrg_hood)
 from adaptreduce import solvers
 from adaptreduce.solvers import _sdca_coordinate
+from helpers import quadratic_reference
 
 
 def ridge(rng, n, d, l2):

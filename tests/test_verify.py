@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from adaptreduce import (BoundCheck, CHECK_NAMES, CompositeObjective,
-                         ConfigError, Regularizer, ScalarLoss,
-                         brute_force_conjugate, brute_force_reg_conjugate,
-                         brute_force_smoothed, dense_to_dataset,
-                         quadratic_reference, smoothed_value, verify_bound)
+                         ConfigError, Regularizer, dense_to_dataset,
+                         smoothed_value, verify_bound)
+from helpers import (ScalarLoss, brute_force_conjugate,
+                     brute_force_reg_conjugate, brute_force_smoothed,
+                     quadratic_reference)
 
 
 # ---------------------------------------------------------------------------
