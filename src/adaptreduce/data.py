@@ -26,7 +26,8 @@ from .errors import DataError
 # 10%, 1.1-1.5x at 15% and 2-6x at 20-50%; 500x100 and 60x20 rows, which
 # fit in cache dense, were faster dense at 5% and above.
 _CSR_DENSITY = 0.1
-# entries per densified row block in CsrMatrix.gram (1 MiB of float64)
+# products per chunk in CsrMatrix.gram (1 MiB of float64 weights, as many
+# int64 keys), unless one row alone holds more
 _GRAM_BLOCK = 1 << 17
 # feature tokens at which parse_libsvm closes a conversion batch.  On a
 # 500x100 dense file, 512-4096 parse equally fast with a traced peak of
@@ -169,7 +170,8 @@ class CsrMatrix:
     """Read-only CSR matrix with what the reference solvers do to the data
     matrix: ``A @ x`` and ``A.T @ g`` for vectors, ``A[rows]`` (mask, index
     array or slice), ``A[:, cols]`` (boolean mask), ``np.asarray(A)`` for a
-    small block, and the weighted Gram matrix through `gram`."""
+    small block, and the weighted Gram matrix through `gram`, which reads
+    the stored entries only."""
 
     def __init__(self, indptr, indices, values, dim: int):
         self.indptr, self.indices, self.values = indptr, indices, values
@@ -212,14 +214,39 @@ class CsrMatrix:
         return A if dtype is None else A.astype(dtype, copy=False)
 
     def gram(self, h: np.ndarray | None = None) -> np.ndarray:
-        """A^T diag(h) A (h = 1 when None), summed over densified blocks of
-        rows so that no more than _GRAM_BLOCK entries are dense at once."""
+        """A^T diag(h) A (h = 1 when None) from the stored entries alone:
+        each row i adds h_i v_ij v_ik at (j, k) and (k, j) for every pair
+        j < k of its stored columns and h_i v_ij^2 at (j, j), and no row is
+        densified.  The rows go in groups of one length c, a chunk of m rows
+        of a group as (c, m) blocks of indices and values (rows last, so
+        that numpy's inner loops run over m, not c); one np.bincount adds
+        the chunk's c(c-1)/2 m products of pairs, at most _GRAM_BLOCK (or
+        one row's), into the flat upper triangle, which is mirrored."""
         n, d = self.shape
-        G = np.zeros((d, d))
-        step = max(1, _GRAM_BLOCK // max(d, 1))
-        for lo in range(0, n, step):
-            blk = np.asarray(self[lo:lo + step])
-            G += (blk if h is None else blk * h[lo:lo + step, None]).T @ blk
+        upper, diag = np.zeros(d * d), np.zeros(d)
+        counts = np.diff(self.indptr)
+        order = np.argsort(counts, kind="stable")
+        counts = counts[order]
+        # where the sorted length changes; rows of length 0 start no group
+        starts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+        for first, end in zip(starts, starts[1:] + [n]):
+            c = int(counts[first])
+            # positions p < q; a row's indices increase, so j < k
+            p, q = np.triu_indices(c, 1)
+            step = max(1, _GRAM_BLOCK // max(len(p), c))
+            for lo in range(first, end, step):
+                rows = order[lo:min(lo + step, end)]
+                at = self.indptr[rows] + np.arange(c)[:, None]
+                idx, val = self.indices[at], self.values[at]
+                left = val if h is None else val * h[rows]
+                diag += np.bincount(idx.ravel(), weights=(left * val).ravel(),
+                                    minlength=d)
+                upper += np.bincount((idx[p] * d + idx[q]).ravel(),
+                                     weights=(left[p] * val[q]).ravel(),
+                                     minlength=d * d)
+        upper = upper.reshape(d, d)
+        G = upper + upper.T
+        G.flat[::d + 1] = diag
         return G
 
 

@@ -28,8 +28,8 @@ in-process reference cache, for every class (`harness` keeps the disk one).
 
 The data matrix comes from `Dataset.matrix()`: the dense array, on which
 every expression here is plain numpy, or a `data.CsrMatrix` on sparse data,
-which supports the same expressions and `data.gram` without densifying more
-than a block of rows (or the small margin block of the hinge polish).
+which supports the same expressions and forms `data.gram` from the stored
+entries alone; only the hinge polish's small margin block is densified.
 """
 from __future__ import annotations
 

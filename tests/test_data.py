@@ -382,11 +382,60 @@ def test_csr_matrix_selections_and_gram_match_dense(monkeypatch):
     one_block = gram(M, h)
     np.testing.assert_allclose(one_block, (A * h[:, None]).T @ A, atol=1e-12)
     np.testing.assert_allclose(gram(M), A.T @ A, atol=1e-12)
-    monkeypatch.setattr(data_mod, "_GRAM_BLOCK", 7 * 30)  # 7 rows a block
+    monkeypatch.setattr(data_mod, "_GRAM_BLOCK", 7 * 30)  # 210 products a chunk
     np.testing.assert_allclose(gram(M, h), one_block, rtol=0, atol=1e-12)
     # on a dense array gram is the plain product, bit for bit
     assert np.array_equal(gram(A, h), (A * h[:, None]).T @ A)
     assert np.array_equal(gram(A), A.T @ A)
+
+
+def test_csr_gram_on_mixed_row_lengths_matches_dense(monkeypatch):
+    # empty rows, single-entry rows, a row storing all d columns and rows
+    # of other lengths, each length a group of rows of its own
+    rng = np.random.default_rng(31)
+    d = 9
+    lengths = [0, 1, 3, d, 1, 0, 3, 2, 1, 3, 2, 0, 3, 1, 3, 3, 2, d, 3, 0]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.concatenate(
+        [np.sort(rng.choice(d, c, replace=False)) for c in lengths])
+    M = CsrMatrix(indptr, indices, rng.normal(size=indptr[-1]), d)
+    A = np.asarray(M)
+    h = rng.random(len(lengths))
+    want_h, want = (A * h[:, None]).T @ A, A.T @ A
+    np.testing.assert_allclose(gram(M, h), want_h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gram(M), want, rtol=0, atol=1e-12)
+    # 7 rows of length 3 (3 pairs each) in chunks of 2, a full row's 36
+    # pairs in a chunk of its own
+    monkeypatch.setattr(data_mod, "_GRAM_BLOCK", 6)
+    np.testing.assert_allclose(gram(M, h), want_h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gram(M), want, rtol=0, atol=1e-12)
+    # no rows, or no stored entries: the zero matrix
+    empty = CsrMatrix(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                      np.zeros(0), d)
+    assert np.array_equal(gram(empty, np.ones(3)), np.zeros((d, d)))
+    assert np.array_equal(gram(M[[]]), np.zeros((d, d)))
+
+
+def test_csr_gram_memory_is_bounded_by_its_chunks():
+    # 4500 rows of 12 stored entries among 250 columns: a chunk holds
+    # _GRAM_BLOCK products and as many keys, the upper triangle and a
+    # chunk's bincount are d x d each, and the row order takes a few int64
+    # per row
+    rng = np.random.default_rng(32)
+    n, d, per_row = 4500, 250, 12
+    indices = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :per_row],
+                      axis=1).ravel()
+    M = CsrMatrix(np.arange(n + 1) * per_row, indices,
+                  rng.normal(size=n * per_row), d)
+    h = rng.random(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram(M, h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * data_mod._GRAM_BLOCK * 8 + 2 * d * d * 8
 
 
 def test_only_the_data_module_materializes_the_dense_matrix():

@@ -408,6 +408,31 @@ def test_sparse_references_never_densify_and_match_dense(monkeypatch, loss, reg)
         assert_l1_kkt(F, x)
 
 
+@pytest.mark.parametrize("data, w", [
+    # the csr-classification golden data (24 empty rows), l1 off and on
+    (lambda: sparsify(gen_classification(67, 200, 40, flip_fraction=0.2),
+                      68, keep=0.05), 0.0),
+    (lambda: sparsify(gen_classification(67, 200, 40, flip_fraction=0.2),
+                      68, keep=0.05), 1e-2),
+    # 12 of 250 columns per row, the logistic-sparse benchmark's shape
+    (lambda: sparse_logistic_rows(95, 4500, 250, 12), 0.0),
+], ids=["golden-l1-off", "golden-l1-on", "4500x250"])
+def test_case2_logistic_reference_on_csr_never_densifies(monkeypatch, data, w):
+    # the Newton polish's Gram reads the stored entries only, so no
+    # CsrMatrix (the data or a column selection) is ever made dense
+    def refuse(*args, **kwargs):
+        raise AssertionError("CsrMatrix densified")
+
+    data = data()
+    assert data.uses_csr
+    monkeypatch.setattr(data_mod.CsrMatrix, "__array__", refuse)
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    F = CompositeObjective(data, "logistic", Regularizer(l1=w))
+    x = base_reference(F)
+    assert data._dense_cache is None
+    assert_l1_kkt(F, x)
+
+
 def test_sparse_adaptreg_run_never_densifies(tmp_path, monkeypatch):
     path = str(tmp_path / "sparse.txt")
     write_dataset(sparse_logistic_rows(94, 300, 60, 3), path)
