@@ -125,7 +125,7 @@ GOLDEN = {
     "csr-logistic-adaptreg-sdca": (
         "csr-classification", dict(task="logistic", method="adaptreg",
                                    oracle="sdca", T=4, seed=14),
-        "51dfd4d98caf527dbf33f3445cfb103ddd5b21f218f72031214b135ad3022466"),
+        "4738f33e7e4a87eae04c384ffb19a5b2a85d38fcdb151af92e329095256463b7"),
 }
 
 
