@@ -245,4 +245,3 @@ def smoothed_conjugate(kind, beta, b, lam):
     """Conjugate of the smoothed loss: f*(beta) + lam/2 beta^2."""
     beta = np.asarray(beta, dtype=float)
     return loss_conjugate(kind, beta, b) + 0.5 * lam * beta ** 2
-

@@ -16,7 +16,7 @@ from adaptreduce import data as data_mod
 from adaptreduce import harness, references, solvers
 from adaptreduce.cli import main
 from helpers import quadratic_reference
-from test_golden import sparsify
+from test_golden import DATA as GOLDEN_DATA, sparsify
 
 
 def labels(rng, n):
@@ -410,10 +410,8 @@ def test_sparse_references_never_densify_and_match_dense(monkeypatch, loss, reg)
 
 @pytest.mark.parametrize("data, w", [
     # the csr-classification golden data (24 empty rows), l1 off and on
-    (lambda: sparsify(gen_classification(67, 200, 40, flip_fraction=0.2),
-                      68, keep=0.05), 0.0),
-    (lambda: sparsify(gen_classification(67, 200, 40, flip_fraction=0.2),
-                      68, keep=0.05), 1e-2),
+    (GOLDEN_DATA["csr-classification"], 0.0),
+    (GOLDEN_DATA["csr-classification"], 1e-2),
     # 12 of 250 columns per row, the logistic-sparse benchmark's shape
     (lambda: sparse_logistic_rows(95, 4500, 250, 12), 0.0),
 ], ids=["golden-l1-off", "golden-l1-on", "4500x250"])
