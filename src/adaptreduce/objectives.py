@@ -153,12 +153,15 @@ class CompositeObjective:
     # -- duality ---------------------------------------------------------
     def dual_value(self, alpha) -> float:
         """The Fenchel dual -mean_i f_i*(alpha_i) - psi*(-(1/n) A^T alpha)."""
+        return self._dual_value(alpha, -data_mod.rmatvec(self.data, alpha) / self.n)
+
+    def _dual_value(self, alpha, v) -> float:
+        """dual_value(alpha), given v = -(1/n) A^T alpha."""
         b = self.data.labels
         if self.smoothing is not None:
             fstar = losses.smoothed_conjugate(self.loss, alpha, b, self.smoothing)
         else:
             fstar = losses.loss_conjugate(self.loss, alpha, b)
-        v = -data_mod.rmatvec(self.data, alpha) / self.n
         return -float(fstar.mean()) - self.reg.conjugate_value(v)
 
     def duality_gap(self, x) -> float:
@@ -171,10 +174,16 @@ class CompositeObjective:
             raise ConfigError("duality gap unavailable: psi is not strongly convex")
         x = np.asarray(x, dtype=float)
         z = self.margins(x)  # one matvec serves both the primal and alpha
+        alpha = self.loss_derivs(z, allow_subgradient=True)
+        return self._gap(x, z, alpha, -data_mod.rmatvec(self.data, alpha) / self.n)
+
+    def _gap(self, x, z, alpha, v) -> float:
+        """duality_gap(x) from the pieces it computes: the margins z = A x,
+        alpha = f'(z) and v = -(1/n) A^T alpha.  An oracle that holds them
+        (SDCA's dual start, SVRG's snapshot) takes the gap at no pass."""
         f = float(self.loss_values(z).mean()) if self.n else 0.0
         primal = f + self.reg.value(x)  # full_value(x), from the same z
-        alpha = self.loss_derivs(z, allow_subgradient=True)
-        return primal - self.dual_value(alpha)
+        return primal - self._dual_value(alpha, v)
 
     # -- transforms ------------------------------------------------------
     def regularize(self, weight: float, center) -> "CompositeObjective":

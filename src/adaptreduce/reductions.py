@@ -107,8 +107,14 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
 
     Passes are counted here, once, from each report's integer full and
     sample evaluations, and stored cumulatively on the records.  The driver
-    owns the practical policies' baseline: the last statistic an oracle
-    recorded is handed to the next call.  The run ends with the schedule,
+    owns the practical policies' baseline.  It hands a call the statistic
+    the previous call recorded last only when that was measured on the same
+    objective (a constant schedule, whose transform returns one F) or under
+    PracticalGradThird; every other call gets None, so under
+    PracticalGapQuarter each epoch cuts the gap of its own F_t at its input.
+    PracticalGradThird keeps the handoff: a 3x cut of the gradient norm
+    bounds F_out - F* only by L/(9 sigma) (F_in - F*), and adapt_smooth
+    doubles L/sigma every epoch.  The run ends with the schedule,
     when `stalled(report)` is true, or once the pass budget is spent: an
     epoch that could afford no work leaves the remaining budget, and so
     every later epoch, unchanged.  The hinge references use `stalled` as a
@@ -121,6 +127,7 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
     full = 0
     samples = 0
     baseline = None
+    F_prev = None
     for t, (sigma_t, lam_t) in enumerate(schedule):
         remaining = None
         if pass_budget is not None:
@@ -128,12 +135,15 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
             if remaining <= 1e-9:
                 break
         F_t = transform(sigma_t, lam_t)
+        if F_t is not F_prev and not isinstance(policy, PracticalGradThird):
+            baseline = None
         report = oracle(F_t, x_hat, policy, seed=epoch_seed(seed, t),
                         pass_cap=remaining, baseline=baseline)
         full += report.full_evals
         samples += report.sample_evals
         if report.recorded_stat is not None:
             baseline = report.recorded_stat
+        F_prev = F_t
         x_hat = np.array(report.x_out, dtype=float)
         records.append(EpochRecord(
             t=t, sigma_t=sigma_t, lambda_t=lam_t, x_hat=x_hat, report=report,

@@ -10,14 +10,21 @@ Every solver is called as
 
     oracle(F, x0, policy, *, seed=None, pass_cap=None, baseline=None)
 
-where `baseline` is the statistic the caller's previous oracle call
-recorded last (its report's recorded_stat); the practical policies measure
-their decrease against it.  Policies carry no state between calls.
+where `baseline` is the statistic the practical policies measure their
+decrease against.  A caller hands one in only when it was measured on the
+same objective, or under PracticalGradThird (the previous call's
+recorded_stat).  When it is None, PracticalGapQuarter takes the duality gap
+of F at the input x0: SDCA's dual start and SVRG's first snapshot hold its
+pieces, so it costs no pass, and prox-GD and APG pay one pass for it when
+that and one more fit under the cap.  PracticalGradThird takes the first
+norm it records.  Policies carry no state between calls.
 
 Each oracle keeps its books in one `_Run`, which holds the contract:
 - budget: TheoryBudget runs the oracle's own certified step count,
   FixedIterations its k; under a practical policy there is none, and the
   policy, the pass cap or the statistic floor stops the run;
+- `wants_input_gap` says the gap policy has no baseline, so the oracle
+  sets the gap at its input as one; `input_gap(x)` pays a pass for it;
 - `check(x, reserve)` pays one pass for the policy's statistic at x and
   records it, and says stop when the policy is met or that pass and
   `reserve` more would not fit under the cap; a free statistic (a gradient
@@ -96,8 +103,9 @@ class TheoryBudget:
 @dataclass
 class PracticalGapQuarter:
     """Stop when the duality gap falls below 1/4 of the baseline: the gap
-    the previous epoch recorded last, handed in by the caller (or the first
-    gap recorded when there is none).
+    handed in by the caller, measured on the same objective, or else the
+    gap at the call's input x0, so that each call cuts its own input gap
+    by the factor.
 
     The gap is checked every ceil(n/3) stochastic steps, and at every
     iteration of the full-gradient solvers (ceil(n/3)/n rounds to at most 1).
@@ -226,6 +234,18 @@ class _Run:
             return False
         return self.latest < self.policy.factor * self.baseline
 
+    @property
+    def wants_input_gap(self) -> bool:
+        """The gap policy without a baseline takes the gap at the input."""
+        return isinstance(self.policy, PracticalGapQuarter) and self.baseline is None
+
+    def input_gap(self, x):
+        """Pay one pass for the gap at the input x as the baseline, when
+        the run wants one and that pass and one more fit under the cap."""
+        if self.wants_input_gap and self.room_for(full=2):
+            self.full += 1
+            self.baseline = self.F.duality_gap(x)
+
     def check(self, x, reserve=0) -> bool:
         """Pay one pass for the policy's statistic at x and record it; True
         means stop: the policy is met, or that pass and `reserve` more do
@@ -327,6 +347,7 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
     free_norm = not momentum and isinstance(run.policy, PracticalGradThird)
 
     x = np.array(x0, dtype=float)
+    run.input_gap(x)
     y = x
     it = 0
     while run.budget is None or it < run.budget:
@@ -447,6 +468,8 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         d_tilde = np.asarray(F.loss_derivs(z_tilde), dtype=float)
         mu = data_mod.rmatvec(F.data, d_tilde) / n
         run.full += 1
+        if run.wants_input_gap:  # the first snapshot is at the input
+            run.baseline = F._gap(x, z_tilde, d_tilde, -mu)
         if isinstance(run.policy, PracticalGradThird) and run.record(
                 np.linalg.norm(mu + F.reg.differentiable_gradient(x))):
             break
@@ -627,6 +650,8 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     alpha = np.array(F.loss_derivs(z0, allow_subgradient=True), dtype=float)
     run.full += 1
     v = -data_mod.rmatvec(F.data, alpha) / n
+    if run.wants_input_gap:  # free, and before the sweep moves v
+        run.baseline = F._gap(np.asarray(x0, dtype=float), z0, alpha, v)
     x = F.reg.conjugate_argmax(v)
     sweep = _sdca_sweeper(F, 0.0 if F.smoothing is None else F.smoothing,
                           alpha.tolist(), v, x)

@@ -9,10 +9,11 @@ import pytest
 
 from adaptreduce import (Case, CompositeObjective, ConfigError,
                          FixedIterations, HALVING, PracticalGapQuarter,
-                         ReductionParams, Regularizer, adapt_reg, adapt_smooth,
-                         apg_hood, base_reference, classical_reg,
+                         ReductionParams, Regularizer, STAT_FLOOR, adapt_reg,
+                         adapt_smooth, apg_hood, base_reference, classical_reg,
                          classical_smooth, default_params, dense_to_dataset,
-                         exact_oracle, joint_adapt, sdca_hood, svrg_hood)
+                         exact_oracle, gen_regression, joint_adapt, sdca_hood,
+                         svrg_hood)
 from adaptreduce import reductions
 from helpers import quadratic_reference
 
@@ -235,6 +236,38 @@ def test_shared_policy_gives_identical_runs():
         assert a.report.iterations == b.report.iterations
         assert a.passes == b.passes
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
+
+
+def test_every_gap_policy_epoch_cuts_its_own_input_gap():
+    # each epoch gets no baseline, so it stops at a quarter of the gap of
+    # its own F_t at its input.  When every call took its first mid-epoch
+    # check as the baseline instead, SDCA's restarted duals inflated it and
+    # the output gaps rose to 27.7 at epoch 6 and 1.9e53 at epoch 15
+    F = CompositeObjective(gen_regression(11, 500, 100), "squared",
+                           Regularizer(l1=1e-2))
+    x0 = np.zeros(100)
+    x_ref = base_reference(F)
+    F_star = F.full_value(x_ref)
+    sigma0 = (F.full_value(x0) - F_star) / float(x_ref @ x_ref)  # harness's
+    policy = PracticalGapQuarter()
+    _, records = adapt_reg(F, sdca_hood, x0, ReductionParams(sigma0, T=16),
+                           policy, seed=5, pass_budget=300.0)
+    assert len(records) == 16
+    assert records[-1].passes < 299.0  # so no epoch met its pass cap
+    first = F.regularize(sigma0, x0).duality_gap(x0)
+    x_in = x0
+    for rec in records:
+        F_t = F.regularize(rec.sigma_t, x0)
+        gap_in = F_t.duality_gap(x_in)
+        stat = rec.report.final_stat
+        assert stat < STAT_FLOOR or stat <= 0.25 * gap_in
+        assert stat <= first
+        # the epoch is the library's default call on F_t
+        alone = sdca_hood(F_t, x_in, policy,
+                          seed=reductions._epoch_seed(5, rec.t))
+        assert alone.x_out.tobytes() == rec.x_hat.tobytes()
+        x_in = rec.x_hat
+    assert F.full_value(x_in) - F_star <= 1e-10
 
 
 def test_reductions_import_no_reference_code():

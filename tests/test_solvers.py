@@ -229,6 +229,40 @@ def test_svrg_practical_policies_keep_the_pass_cap():
         assert r.data_passes <= cap + 1e-9
 
 
+def csr_rows(seed, n, d, per_row):
+    """`per_row` random entries in each row: CSR-backed below 10% density."""
+    rng = np.random.default_rng(seed)
+    indices = np.concatenate([np.sort(rng.choice(d, per_row, replace=False))
+                              for _ in range(n)])
+    return Dataset(np.arange(0, n * per_row + 1, per_row), indices,
+                   rng.normal(size=n * per_row),
+                   np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
+
+
+def test_input_gap_is_free_and_exact():
+    # with no baseline the gap policy takes the gap at x0: SDCA and SVRG
+    # build it from their dual start or first snapshot, bit for bit the
+    # one F.duality_gap gives, at no pass; prox-GD and APG pay one pass
+    csr = csr_rows(91, 120, 40, 3)
+    assert csr.uses_csr
+    dense = gen_regression(92, 60, 12, sparsity=4)
+    assert not dense.uses_csr
+    rng = np.random.default_rng(93)
+    for F in (CompositeObjective(dense, "squared", Regularizer(l1=0.02))
+              .regularize(0.05, rng.normal(size=12)),
+              CompositeObjective(csr, "logistic", Regularizer(l2=0.01))):
+        x0 = rng.normal(size=F.dim)
+        gap = F.duality_gap(x0)
+        for solver, paid in ((sdca_hood, 0), (svrg_hood, 0),
+                             (prox_gd_hood, 1), (apg_hood, 1)):
+            own = solver(F, x0, PracticalGapQuarter(), seed=4)
+            given = solver(F, x0, PracticalGapQuarter(), seed=4,
+                           baseline=gap)
+            assert own.x_out.tobytes() == given.x_out.tobytes()
+            assert own.data_passes == given.data_passes + paid
+            assert own.final_stat < 0.25 * gap
+
+
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
@@ -258,10 +292,14 @@ def test_practical_gap_quarter_stops_on_quarter():
     F, _, _ = ridge(rng, 20, 5, l2=0.5)
     policy = PracticalGapQuarter()  # n = 20: one check per iterate
     r = prox_gd_hood(F, np.ones(5), policy)
-    first = F.duality_gap(prox_gd_hood(F, np.ones(5), FixedIterations(1)).x_out)
-    assert r.final_stat < 0.25 * first + 1e-12
-    # stats were paid for: each check costs one pass on top of the gradients
-    assert r.full_evals > r.iterations
+    # no baseline handed in: the run cuts the gap at its own input
+    start = F.duality_gap(np.ones(5))
+    assert r.final_stat < 0.25 * start
+    before = prox_gd_hood(F, np.ones(5), FixedIterations(r.iterations - 1))
+    assert F.duality_gap(before.x_out) >= 0.25 * start  # the first such point
+    # stats were paid for: the input gap and each check cost one pass on
+    # top of the gradients
+    assert r.full_evals == 2 * r.iterations + 1
     assert r.data_passes == r.full_evals
 
 
