@@ -47,7 +47,7 @@ GOLDEN = {
     "lasso-adaptreg-svrg-budget": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="svrg", T=8, seed=4, pass_budget=20.0),
-        "7e30dcfcccd423e4d70b10f4e40717e748df5724066d9cd3bd9152d9936522a6"),
+        "3a7456b115ff4a6cafae80dea3e368ae9a04ebf7603848c032290bddd66f666d"),
     "svm-adaptsmooth-svrg": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="svrg", T=5,
