@@ -67,7 +67,7 @@ GOLDEN = {
     "lasso-adaptreg-proxgd": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="proxgd", T=6, seed=3),
-        "e0da2e844582914037ead765dfe8ebebff3b1a2a553e5055d4259c2a8d8e72c9"),
+        "56c227683526b189da030d3e7a435e2879daa7fdd24d1e5724123e7315826fd0"),
     "svm-adaptsmooth-proxgd": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="proxgd", T=5,
