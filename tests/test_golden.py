@@ -61,7 +61,7 @@ GOLDEN = {
     "l1svm-joint-sdca-budget": (
         "classification", dict(task="l1svm", l1_weight=0.05, method="joint",
                                oracle="sdca", T=4, seed=7, pass_budget=20.0),
-        "7b56be35682e4a3c295a04c89f4d8289abcb1e3ee9c66e5dad9bb32a7fd62895"),
+        "4dda5cdd68c431e4e8521300bf7b08d23a77b8196f550fdb386f792c97ff9149"),
     # the prox-gradient loop without momentum: the gap policy, the free
     # gradient norm, and TheoryBudget; the apg svm run takes the paid norm
     "lasso-adaptreg-proxgd": (
