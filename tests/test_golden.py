@@ -105,7 +105,7 @@ GOLDEN = {
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="sdca", T=6,
                                   seed=10),
-        "bef395fa8b222bf6b77a5e25b1b2dff99972add70089acb7cc77ab81a6a9ea72"),
+        "a78024c08efade92db079298cebe2fc3d489051d72a0f5221711f1097ebc05e9"),
     "sparse-lasso-adaptreg-svrg": (
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="svrg", T=6,
