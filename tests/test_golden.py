@@ -110,7 +110,7 @@ GOLDEN = {
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="svrg", T=6,
                                   seed=12),
-        "c395825dc6c541f55d1c36cea971b030365ed659d0190a117d0e598b0546c25d"),
+        "a31bb6fbf9db47b3ea482287741d16bdb3c693d836f252bc055e0a8f4766e64b"),
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
