@@ -114,7 +114,7 @@ GOLDEN = {
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
-        "8d1e179c19e99781b2baa2aff9da832e10c6ab5acd26f0c6b969947eb5c23d34"),
+        "c40e0a6e845b0208653db8e27ab15b7e923312bdbd349408b4461f2d8a09911d"),
     "sparse-svm-adaptsmooth-svrg": (
         "sparse-classification", dict(task="svm", l2_weight=0.05,
                                       method="adaptsmooth", oracle="svrg",
