@@ -125,7 +125,7 @@ GOLDEN = {
     "csr-logistic-adaptreg-sdca": (
         "csr-classification", dict(task="logistic", method="adaptreg",
                                    oracle="sdca", T=4, seed=14),
-        "4738f33e7e4a87eae04c384ffb19a5b2a85d38fcdb151af92e329095256463b7"),
+        "46565b483fd98a38047304f7296ec346fe0ad8305451fff651e7c17b9fe4b704"),
 }
 
 
