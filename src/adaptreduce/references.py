@@ -12,8 +12,8 @@ in-process reference cache, for every class (`harness` keeps the disk one).
   the support stationarity system (a linear solve for the squared loss,
   Newton for the logistic loss) and grows or trims the support.  FISTA runs
   in blocks up to 6000 iterations; the polish is tried at each block end
-  whose sign pattern equals the previous one, and the first certified
-  point is the reference.  Smoothed non-Case1 objectives are refused.
+  whose sign pattern equals the previous one (at every block end without an
+  l1 term), and the first certified point is the reference.  Smoothed non-Case1 objectives are refused.
 - Case3 (hinge, psi strongly convex): exact dual coordinate ascent on the
   box-constrained dual (Hsieh et al. 2008) is the warm-up: each epoch,
   `solvers._sdca_sweeper` (sdca_hood's coordinate step) sweeps every row
@@ -110,7 +110,9 @@ def _l1_smooth_reference(F) -> np.ndarray:
                 "logistic loss without l1 has no minimizer: the data are "
                 f"separable along {np.sum(pos != neg)} feature axes")
     # FISTA warmup to localize the support, polished at each checkpoint
-    # whose sign pattern held since the previous one; the last polish raises
+    # whose sign pattern held since the previous one (at every checkpoint
+    # without an l1 term, whose support is every coordinate); the last
+    # polish raises
     x = np.zeros(d)
     y = x.copy()
     tk = 1.0
@@ -128,7 +130,7 @@ def _l1_smooth_reference(F) -> np.ndarray:
             x = _polish_l1(F, A, b, x)
             break
         pattern = np.sign(x) * (np.abs(x) > _SUPPORT_TOL)
-        if np.array_equal(pattern, held):
+        if w == 0.0 or np.array_equal(pattern, held):
             try:
                 x = _polish_l1(F, A, b, x)
                 break

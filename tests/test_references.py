@@ -261,6 +261,33 @@ def test_overlapping_logistic_reference_certifies():
     assert np.linalg.norm(F.full_gradient(x)) <= 1e-10
 
 
+def test_l1_free_logistic_reference_polishes_at_the_first_checkpoint(
+        monkeypatch):
+    # without an l1 term every coordinate is on the support, so there is no
+    # sign pattern to wait for: the polish is tried after the first 25
+    # FISTA iterations (one loss_deriv call each), not after 50
+    F = CompositeObjective(gen_classification(63, 40, 8), "logistic",
+                           Regularizer())
+    calls = []
+    deriv, polish = references.losses.loss_deriv, references._polish_l1
+
+    def counted(*args):
+        calls.append(None)
+        return deriv(*args)
+
+    polished_after = []
+
+    def first_polish(*args):
+        polished_after.append(len(calls))
+        return polish(*args)
+
+    monkeypatch.setattr(references.losses, "loss_deriv", counted)
+    monkeypatch.setattr(references, "_polish_l1", first_polish)
+    x = references._l1_smooth_reference(F)
+    assert polished_after == [references._FISTA_CHECKPOINTS[0]] == [25]
+    assert np.linalg.norm(F.full_gradient(x)) <= 1e-10
+
+
 def test_l1_polish_grows_the_support_from_zero():
     # started on an empty support, the polish adds one violator per round
     # until the KKT conditions hold, and lands on the reference
