@@ -114,7 +114,7 @@ GOLDEN = {
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
-        "c40e0a6e845b0208653db8e27ab15b7e923312bdbd349408b4461f2d8a09911d"),
+        "e100c36a53a06a981faeaa75db20f8c458bccd0f81db23e8fa0f9fa11c4f71cf"),
     "sparse-svm-adaptsmooth-svrg": (
         "sparse-classification", dict(task="svm", l2_weight=0.05,
                                       method="adaptsmooth", oracle="svrg",
