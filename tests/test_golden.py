@@ -125,7 +125,7 @@ GOLDEN = {
     "csr-logistic-adaptreg-sdca": (
         "csr-classification", dict(task="logistic", method="adaptreg",
                                    oracle="sdca", T=4, seed=14),
-        "46565b483fd98a38047304f7296ec346fe0ad8305451fff651e7c17b9fe4b704"),
+        "c3520d096edcfcc21d80f03ee96b6b16933c694ca3bc5041bbb4d8ba745a14b8"),
 }
 
 
