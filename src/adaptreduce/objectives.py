@@ -153,7 +153,8 @@ class CompositeObjective:
     # -- duality ---------------------------------------------------------
     def dual_value(self, alpha) -> float:
         """The Fenchel dual -mean_i f_i*(alpha_i) - psi*(-(1/n) A^T alpha)."""
-        return self._dual_value(alpha, -data_mod.rmatvec(self.data, alpha) / self.n)
+        v = -data_mod.rmatvec(self.data, alpha) / self.n
+        return self._dual_value(alpha, v)
 
     def _dual_value(self, alpha, v) -> float:
         """dual_value(alpha), given v = -(1/n) A^T alpha."""
@@ -175,7 +176,8 @@ class CompositeObjective:
         x = np.asarray(x, dtype=float)
         z = self.margins(x)  # one matvec serves both the primal and alpha
         alpha = self.loss_derivs(z, allow_subgradient=True)
-        return self._gap(x, z, alpha, -data_mod.rmatvec(self.data, alpha) / self.n)
+        v = -data_mod.rmatvec(self.data, alpha) / self.n
+        return self._gap(x, z, alpha, v)
 
     def _gap(self, x, z, alpha, v) -> float:
         """duality_gap(x) from the pieces it computes: the margins z = A x,

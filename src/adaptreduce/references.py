@@ -13,7 +13,8 @@ in-process reference cache, for every class (`harness` keeps the disk one).
   Newton for the logistic loss) and grows or trims the support.  FISTA runs
   in blocks up to 6000 iterations; the polish is tried at each block end
   whose sign pattern equals the previous one (at every block end without an
-  l1 term), and the first certified point is the reference.  Smoothed non-Case1 objectives are refused.
+  l1 term), and the first certified point is the reference.  Smoothed
+  non-Case1 objectives are refused.
 - Case3 (hinge, psi strongly convex): exact dual coordinate ascent on the
   box-constrained dual (Hsieh et al. 2008) is the warm-up: each epoch,
   `solvers._sdca_sweeper` (sdca_hood's coordinate step) sweeps every row

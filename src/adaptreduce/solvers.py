@@ -237,7 +237,8 @@ class _Run:
     @property
     def wants_input_gap(self) -> bool:
         """The gap policy without a baseline takes the gap at the input."""
-        return isinstance(self.policy, PracticalGapQuarter) and self.baseline is None
+        return (isinstance(self.policy, PracticalGapQuarter)
+                and self.baseline is None)
 
     def input_gap(self, x):
         """Pay one pass for the gap at the input x as the baseline, when
