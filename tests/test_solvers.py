@@ -453,6 +453,61 @@ def test_full_and_sparse_row_steps_keep_their_bits(oracle, name):
             == STEP_BODY_DIGESTS[oracle, name])
 
 
+def zero_column_rows():
+    """`mixed_rows(81, 60, 12)` plus a 13th column that holds no nonzero:
+    the full rows store it as an explicit 0.0, so they stay full rows."""
+    data = mixed_rows(81, 60, 12)
+    indices, values = [], []
+    for idx, val in map(data.row, range(data.n)):
+        full = len(idx) == 12
+        indices.append(np.append(idx, 12) if full else idx)
+        values.append(np.append(val, 0.0) if full else val)
+    indptr = np.concatenate(([0], np.cumsum([len(i) for i in indices])))
+    return Dataset(indptr, np.concatenate(indices), np.concatenate(values),
+                   data.labels, 13)
+
+
+ZERO_COLUMN_REGS = {
+    "l2": Regularizer(l2=0.05),
+    "l1+shift": Regularizer(l1=0.2, shift_weight=0.1,
+                            shift_center=np.append(CENTER, -0.0)),
+}
+# (regularizer, steps) -> SHA-256 of x_out
+ZERO_COLUMN_DIGESTS = {
+    ("l2", 1):
+        "8042ce42987692c12323a0ceb55c38beeb40cca3f29cee9d233cb6a8b16a6bb9",
+    ("l2", 500):
+        "5f286586238118922ead209b710d30a70f9f80bef2274cd094c5becec622fd62",
+    ("l1+shift", 1):
+        "93adbf67c7da2d1af07cf4263cf4ad249d42381e8351ffbcbf1fd1289200a3c4",
+    ("l1+shift", 500):
+        "bc10c77fd6f722b7d704c0efabe0ddb43df1e24c30ea3ae9ae689570ab4ebc4d",
+}
+
+
+@pytest.mark.parametrize("name, steps", list(ZERO_COLUMN_DIGESTS),
+                         ids=[f"{n}-{k}" for n, k in ZERO_COLUMN_DIGESTS])
+def test_svrg_zero_coefficient_steps_keep_their_bits(name, steps):
+    # on the smoothed hinge f' is flat off its ramp, so the variance-reduced
+    # coefficient c is often exactly 0.0, and the zero column makes mu hold
+    # exact zeros: a step that drops c*a_i must still give x's signed zeros
+    # the bits of the full formula.  The l2 run takes the zero path on 430
+    # of its 500 steps, the l1+shift run on 454.  The first step always
+    # takes it, since x is still the snapshot x0: the one-step runs pin
+    # that x0's -0.0 in the zero column comes out +0.0, as the full formula
+    # gives it.  The digests were taken before the zero-coefficient step
+    # existed
+    data = zero_column_rows()
+    assert sum(idx is None for idx, _ in data.step_rows()) == 20
+    F = CompositeObjective(data, "hinge", ZERO_COLUMN_REGS[name], 0.2)
+    x0 = np.zeros(13)
+    x0[::2] = -0.0
+    r = svrg_hood(F, x0, FixedIterations(steps), seed=7)
+    assert r.iterations == steps
+    assert (hashlib.sha256(r.x_out.tobytes()).hexdigest()
+            == ZERO_COLUMN_DIGESTS[name, steps])
+
+
 def test_grad_policy_refuses_an_l1_term():
     # its statistic leaves out the l1 term, so it does not vanish at the
     # minimizer: without a cap sdca_hood ran this to the 10**8-step guard
