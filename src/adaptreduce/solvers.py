@@ -54,13 +54,22 @@ formulas give:
   element meets the same + - * / in the same order in both bodies and in
   the formula (IEEE + and * are commutative, so `rval * c` is `c * rval`),
   and writing a result into a buffer changes none of its bits;
+- prox-SVRG moves x by eta (c a_i + mu) with c = f'(a_i x) - f'(a_i x~).
+  Where f' is flat (the smoothed hinge off its ramp) c is often exactly
+  zero, and such a step subtracts mu eta, made once per snapshot, instead:
+  with c = +-0, c a_ij + mu_j is mu_j bit for bit but for the sign of a
+  zero, and that sign reaches x only as a zero of x - v.  A nonzero shift
+  replaces such a zero, and the shrink makes every zero +0.0 before the
+  divide (v + 0.0 at tau None, sign(-0.0) = 0 at tau > 0), so x keeps
+  every bit;
 - psi's prox and conjugate maximizer are `regularizers._shrink`, the one
   soft-threshold, on constants `prox_terms` and `conjugate_terms` compute
-  once per call; numpy takes an array operand faster than a Python float,
-  so the constants a full row meets are d-float arrays, those the SDCA
-  step meets on a row's support are 0-d arrays, and the step's own scalar
-  delta/n is written into a 0-d array; `x.dot` stands in for `x @`, the
-  same BLAS dot at less call cost;
+  once per call (at tau None the SVRG step and SDCA's support branch write
+  its add of 0.0 inline); numpy takes an array operand faster than a
+  Python float, so the constants a full row meets are d-float arrays,
+  those the SDCA step meets on a row's support are 0-d arrays, and the
+  step's own scalar delta/n is written into a 0-d array; `x.dot` stands in
+  for `x @`, the same BLAS dot at less call cost;
 - a scalar closed form stands in for a numpy call only where it needs
   nothing but + - * / and comparisons, which are exactly rounded; exp and
   log stay numpy calls, because math's differ in the last bit.  The one
@@ -413,6 +422,13 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     bound certifies only eta < 1/(4L), so not this budget.  Outside
     TheoryBudget m = 2n, the gradient-norm policy's interval: its statistic
     is taken at each snapshot, free, since the snapshot gradient is in hand.
+
+    A step whose variance-reduced coefficient c = f'(a_i x) - f'(a_i x~) is
+    zero, of either sign, moves x by mu*eta, made once per snapshot, and
+    skips c*a_i: it gives every bit of the full step (see the module
+    docstring), since that step's v differs from mu*eta only in the signs
+    of zeros, and those reach x only as zeros of x - v, which a nonzero
+    shift replaces and the shrink writes as +0.0.
     """
     _require_case1(F, "svrg_hood")
     if F.n < 1:
@@ -444,19 +460,25 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     def take(segment):
         for i in segment:
             ridx, rval = rows[i]
-            if ridx is None:
-                c = deriv(float(rval.dot(x)), labels[i]) - d_list[i]
-                np.multiply(rval, c, v)
-                np.add(v, mu, v)
+            z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
+            c = deriv(z, labels[i]) - d_list[i]
+            if c == 0.0:
+                np.subtract(x, mu_eta, x)  # v's bits but for signed zeros
             else:
-                c = deriv(float(rval.dot(x[ridx])), labels[i]) - d_list[i]
-                np.copyto(v, mu)
-                v[ridx] += c * rval
-            np.multiply(v, etas, v)
-            np.subtract(x, v, x)
+                if ridx is None:
+                    np.multiply(rval, c, v)
+                    np.add(v, mu, v)
+                else:
+                    np.copyto(v, mu)
+                    v[ridx] += c * rval
+                np.multiply(v, etas, v)
+                np.subtract(x, v, x)
             if shift is not None:
                 np.add(x, shift, x)
-            _shrink(x, taus, zeros, t, x)
+            if taus is None:
+                np.add(x, zeros, x)  # _shrink at tau None
+            else:
+                _shrink(x, taus, zeros, t, x)
             np.divide(x, scales, x)
 
     while run.budget is None or run.samples < run.budget:
@@ -468,6 +490,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         z_tilde = F.margins(x)
         d_tilde = np.asarray(F.loss_derivs(z_tilde), dtype=float)
         mu = data_mod.rmatvec(F.data, d_tilde) / n
+        mu_eta = mu * etas  # the step of every draw whose c is zero
         run.full += 1
         if run.wants_input_gap:  # the first snapshot is at the input
             run.baseline = F._gap(x, z_tilde, d_tilde, -mu)
