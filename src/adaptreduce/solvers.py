@@ -14,17 +14,17 @@ where `baseline` is the statistic the practical policies measure their
 decrease against.  A caller hands one in only when it was measured on the
 same objective, or under PracticalGradThird (the previous call's
 recorded_stat).  When it is None, PracticalGapQuarter takes the duality gap
-of F at the input x0: SDCA's dual start and SVRG's first snapshot hold its
-pieces, so it costs no pass, and prox-GD and APG pay one pass for it when
-that and one more fit under the cap.  PracticalGradThird takes the first
-norm it records.  Policies carry no state between calls.
+of F at the input x0: SDCA's dual start, SVRG's first snapshot and the
+first gradient of prox-GD and APG hold its pieces, so it costs no pass.
+PracticalGradThird takes the first norm it records.  Policies carry no
+state between calls.
 
 Each oracle keeps its books in one `_Run`, which holds the contract:
 - budget: TheoryBudget runs the oracle's own certified step count,
   FixedIterations its k; under a practical policy there is none, and the
   policy, the pass cap or the statistic floor stops the run;
 - `wants_input_gap` says the gap policy has no baseline, so the oracle
-  sets the gap at its input as one; `input_gap(x)` pays a pass for it;
+  sets the gap at its input as one, from the pieces of its first pass;
 - `check(x, reserve)` pays one pass for the policy's statistic at x and
   records it, and says stop when the policy is met or that pass and
   `reserve` more would not fit under the cap; a free statistic (a gradient
@@ -249,13 +249,6 @@ class _Run:
         return (isinstance(self.policy, PracticalGapQuarter)
                 and self.baseline is None)
 
-    def input_gap(self, x):
-        """Pay one pass for the gap at the input x as the baseline, when
-        the run wants one and that pass and one more fit under the cap."""
-        if self.wants_input_gap and self.room_for(full=2):
-            self.full += 1
-            self.baseline = self.F.duality_gap(x)
-
     def check(self, x, reserve=0) -> bool:
         """Pay one pass for the policy's statistic at x and record it; True
         means stop: the policy is met, or that pass and `reserve` more do
@@ -357,7 +350,6 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
     free_norm = not momentum and isinstance(run.policy, PracticalGradThird)
 
     x = np.array(x0, dtype=float)
-    run.input_gap(x)
     y = x
     it = 0
     while run.budget is None or it < run.budget:
@@ -368,7 +360,15 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
         due = it > 0 and it % check_every == 0
         if due and not free_norm and run.check(x, reserve=1):
             break
-        g = F.full_gradient(y)
+        if it == 0 and run.wants_input_gap:
+            # the first gradient's pieces at y = x0 give the input gap free:
+            # g is full_gradient(x0) and -g its v, bit for bit
+            z = F.margins(x)
+            alpha = F.loss_derivs(z)
+            g = data_mod.rmatvec(F.data, alpha) / F.n
+            run.baseline = F._gap(x, z, alpha, -g)
+        else:
+            g = F.full_gradient(y)
         run.full += 1
         # free: reuses g at y = x, adds only psi's closed-form gradient
         if due and free_norm and run.record(

@@ -240,9 +240,9 @@ def csr_rows(seed, n, d, per_row):
 
 
 def test_input_gap_is_free_and_exact():
-    # with no baseline the gap policy takes the gap at x0: SDCA and SVRG
-    # build it from their dual start or first snapshot, bit for bit the
-    # one F.duality_gap gives, at no pass; prox-GD and APG pay one pass
+    # with no baseline the gap policy takes the gap at x0: SDCA, SVRG,
+    # prox-GD and APG build it from their dual start, first snapshot or
+    # first gradient, bit for bit the one F.duality_gap gives, at no pass
     csr = csr_rows(91, 120, 40, 3)
     assert csr.uses_csr
     dense = gen_regression(92, 60, 12, sparsity=4)
@@ -253,13 +253,12 @@ def test_input_gap_is_free_and_exact():
               CompositeObjective(csr, "logistic", Regularizer(l2=0.01))):
         x0 = rng.normal(size=F.dim)
         gap = F.duality_gap(x0)
-        for solver, paid in ((sdca_hood, 0), (svrg_hood, 0),
-                             (prox_gd_hood, 1), (apg_hood, 1)):
+        for solver in (sdca_hood, svrg_hood, prox_gd_hood, apg_hood):
             own = solver(F, x0, PracticalGapQuarter(), seed=4)
             given = solver(F, x0, PracticalGapQuarter(), seed=4,
                            baseline=gap)
             assert own.x_out.tobytes() == given.x_out.tobytes()
-            assert own.data_passes == given.data_passes + paid
+            assert own.data_passes == given.data_passes
             assert own.final_stat < 0.25 * gap
 
 
@@ -297,9 +296,9 @@ def test_practical_gap_quarter_stops_on_quarter():
     assert r.final_stat < 0.25 * start
     before = prox_gd_hood(F, np.ones(5), FixedIterations(r.iterations - 1))
     assert F.duality_gap(before.x_out) >= 0.25 * start  # the first such point
-    # stats were paid for: the input gap and each check cost one pass on
-    # top of the gradients
-    assert r.full_evals == 2 * r.iterations + 1
+    # each check cost one pass on top of the gradients; the input gap came
+    # free with the first gradient
+    assert r.full_evals == 2 * r.iterations
     assert r.data_passes == r.full_evals
 
 
