@@ -67,7 +67,7 @@ GOLDEN = {
     "lasso-adaptreg-proxgd": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="proxgd", T=6, seed=3),
-        "56c227683526b189da030d3e7a435e2879daa7fdd24d1e5724123e7315826fd0"),
+        "4cb5dddb790f5e1224e42584f839f7471d5dd77be499397a848bfc634186c11c"),
     "svm-adaptsmooth-proxgd": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="proxgd", T=5,
