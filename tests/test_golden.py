@@ -85,7 +85,7 @@ GOLDEN = {
     "lasso-classical-reg-apg": (
         "regression", dict(task="lasso", l1_weight=0.05,
                            method="classical-reg", oracle="apg", sigma=0.1),
-        "c8b3a61a57879bed3802e6f30af574d281a4a1b75a3398d3f58a647019f7c08c"),
+        "9ffe22d8a567fcec7dfe2eaf8b096a6ddf7d1e827b722257f69fb3e3d00d9bec"),
     "svm-classical-smooth-svrg-budget": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="classical-smooth", oracle="svrg",
