@@ -241,6 +241,42 @@ def scalar_deriv(kind, lam=None):
     return lambda z, b: float(smoothed_deriv(kind, z, b, lam))
 
 
+def flat_room(kind, b, lam=None):
+    """The function z -> e of margins z with labels b: every float within
+    e_i of z_i gives scalar_deriv(kind, lam) the value z_i gives it, so e_i
+    is the distance from z_i to the end of the flat piece of f' it sits
+    on, less a few ulps.  A negative e_i proves nothing; it is -inf for a
+    loss without a flat piece (squared, logistic; the unsmoothed hinge is
+    not SVRG's, so it is not served), and +inf where b_i = 0, whose
+    derivative is constant.  The ends of the flat pieces are made once.
+
+    The smoothed hinge rounds b z, then b z - 1, then u = (b z - 1)/m with
+    m = lam b b as computed, and clips u to [-1, 0].  Every rounding is
+    monotone and -m, -1, 0 and 1 are floats, so u <= -1 wherever b z <= F
+    holds exactly, F the float below fl(1 - m) (which is <= 1 - m), and
+    u >= 0 wherever b z >= 1 (for m > 0; m = 0 gives u = 0/0 at b z = 1).
+    The float one step outward from each rounded quotient F/b and 1/b, Z,
+    is on the flat side of its edge, and e_i is |z_i - Z| rounded down."""
+    _check_kind(kind)
+    b = np.asarray(b, dtype=float)
+    if kind != "hinge" or lam is None:
+        return lambda z: np.full(np.broadcast(z, b).shape, -np.inf)
+    s = np.sign(b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 lanes
+        m = lam * b * b
+        # the ends times s, so that s (Z - z) = s Z - s z, exactly negated
+        low = s * np.nextafter(np.nextafter(1.0 - m, -np.inf) / b, -s * np.inf)
+        high = s * np.nextafter(1.0 / b, s * np.inf)
+    proven = (b != 0.0) & (m > 0.0)
+    otherwise = np.where(b == 0.0, np.inf, -np.inf)
+
+    def room(z):
+        sz = s * z
+        e = np.nextafter(np.maximum(low - sz, sz - high), -np.inf)
+        return np.where(proven, e, otherwise)
+    return room
+
+
 def smoothed_conjugate(kind, beta, b, lam):
     """Conjugate of the smoothed loss: f*(beta) + lam/2 beta^2."""
     beta = np.asarray(beta, dtype=float)

@@ -143,6 +143,12 @@ class CompositeObjective:
         value loss_derivs gives that margin (the subgradient at a kink)."""
         return losses.scalar_deriv(self.loss, self.smoothing)
 
+    @property
+    def flat_room(self):
+        """z -> how far each float margin may move with scalar_deriv keeping
+        its value, for all n margins z (`losses.flat_room`)."""
+        return losses.flat_room(self.loss, self.data.labels, self.smoothing)
+
     def grad_norm(self, x, include_quadratic_reg: bool = False) -> float:
         g = self.full_gradient(x, include_quadratic_reg=include_quadratic_reg)
         return float(np.linalg.norm(g))

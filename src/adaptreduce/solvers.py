@@ -62,6 +62,12 @@ formulas give:
   replaces such a zero, and the shrink makes every zero +0.0 before the
   divide (v + 0.0 at tau None, sign(-0.0) = 0 at tau > 0), so x keeps
   every bit;
+- before it forms a_i x, a prox-SVRG step tests |a_i| D < dist_i: D bounds
+  |x - x~| and is updated in O(1) a step, dist_i is how far a_i x may move
+  from the snapshot margin with f' keeping its value, made in O(n) once
+  per snapshot.  A step that passes has c exactly 0, so it takes the
+  zero-coefficient body without the dot product or f'; `svrg_hood` holds
+  the proof, rounding included;
 - psi's prox and conjugate maximizer are `regularizers._shrink`, the one
   soft-threshold, on constants `prox_terms` and `conjugate_terms` compute
   once per call (at tau None the SVRG step and SDCA's support branch write
@@ -96,6 +102,7 @@ STAT_FLOOR = 1e-14   # policies stop unconditionally below this statistic
 _ITER_GUARD = 10 ** 8  # hard safety limit on steps in one invocation
 _NEWTON_CAP = 100     # Newton steps allowed to one logistic SDCA coordinate
 _NEWTON_TOL = 1e-9    # relative size of the last Newton step taken
+_TINY = 2.0 ** -1000  # covers rounding below the normal range (svrg_hood)
 # the Newton coordinate solve's math functions, one name lookup a call
 _exp, _log, _log1p, _nextafter = math.exp, math.log, math.log1p, math.nextafter
 
@@ -429,6 +436,46 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     docstring), since that step's v differs from mu*eta only in the signs
     of zeros, and those reach x only as zeros of x - v, which a nonzero
     shift replaces and the shrink writes as +0.0.
+
+    Before it computes a_i x, a step asks whether a proven bound keeps that
+    margin where f' has the value d~_i it has at the snapshot margin z~_i;
+    then c is exactly 0, and the step takes the zero-coefficient body
+    without the dot product or f'.  The test is |a_i| D < dist_i, with D a
+    running bound on |x - x~| and dist_i made once per snapshot.  The proof
+    (u = 2^-53, d = dim, |.| the 2-norm, rounding to nearest):
+
+    1. Room: every float z within e_i = F.flat_room(z~)_i of z~_i gives f'
+       the value it gives z~_i (`losses.flat_room` proves it), which is d~_i
+       bit for bit, so c = 0.  e_i < 0 on the smoothed hinge's ramp, and
+       -inf for squared and logistic loss.
+    2. Margins: a dot product of a row's stored entries, summed in any
+       order, errs by at most gamma_d |a_i| |x|, gamma_d = d u/(1 - d u)
+       (Higham 2002, eq. 3.5), plus d 2^-1075 below the normal range.  The
+       step's a_i x and the snapshot's matvec are two such sums, and
+       |x| <= |x~| + D, so |z - z~_i| <= |a_i| D (1 + gamma_d)
+       + 2 gamma_d |a_i| |x~| + 2^-1000.
+    3. One step: with the computed constants, P(y) = shrink(y + shift,
+       tau)/scale is 1/scale-Lipschitz, since the shrink is nonexpansive,
+       and scale >= 1.  Each element of the computed step meets at most 7 roundings (c a_ij,
+       + mu_j, * eta, x_j -, + shift_j, - tau, / scale), so the computed
+       x+ = P(x - eta (c a_i + mu)) + e with |e| <= 8u (|x| + eta |c| |a_i|
+       + eta |mu| + |shift| + tau sqrt(d)) + 2^-1000; the zero-coefficient
+       body has fewer roundings.
+    4. The bound: by 3, |x+ - x~| <= (|x - x~| + eta |c| |a_i|)/scale + G
+       + |e|, with G = |P(x~ - eta mu) - x~|.  So D = 0 at the snapshot and
+       D+ = (D + eta |c| |a_i|) (1/scale + 8u) + H after each step, c = 0
+       on a skipped one, keep D >= |x - x~|, where H = G + 8u R + 2^-1000
+       and R = |x~| + eta |mu| + |shift| + tau sqrt(d).  G is at most the
+       computed |x1 - x~| of x1, the computed first zero-coefficient step
+       from x~, plus that step's own |e|: hence 16u R + 2^-999 in H.
+    5. Floats: a computed norm errs by at most (d/2 + 2)u relative and each
+       formula above adds at most 4 roundings.  g = 8(d + 8)u exceeds twice
+       their sum, so the factor 1 + g on eta |a_i|, on 1/scale + 8u and on
+       H keeps the computed D above the real bound of 4, and
+       dist_i = (1 - g) e_i - g |a_i| |x~| - 2^-1000 makes fl(|a_i| D) <
+       dist_i imply the inequality of 2 within e_i.  The absolute 2^-1000
+       terms cover rounding below the normal range.  A NaN or an infinity
+       in x~ or D makes the test false.
     """
     _require_case1(F, "svrg_hood")
     if F.n < 1:
@@ -449,6 +496,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     rows = F.data.step_rows()
     labels = F.data.labels.tolist()
     deriv = F.scalar_deriv
+    flat_room = F.flat_room
     shift, tau, scale = F.reg.prox_terms(eta)
     # constants as arrays: numpy 2 takes them faster than Python floats
     etas, scales, zeros = (np.full(F.dim, c) for c in (eta, scale, 0.0))
@@ -456,14 +504,29 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     x = np.array(x0, dtype=float)
     v = np.empty(F.dim)  # eta times the variance-reduced gradient
     t = np.empty(F.dim)  # the prox's scratch
+    # the skip test's terms (see the docstring): the row norms, and eta
+    # |a_i| and the bound's factor per step, rounded up by 1 + g
+    g = (F.dim + 8) * 2.0 ** -50
+    norms = np.sqrt(F.data.row_sq_norms())
+    norm_list = norms.tolist()
+    step_list = (eta * (1.0 + g) * norms).tolist()
+    rho = (1.0 / scale + 2.0 ** -50) * (1.0 + g)
+    fixed = ((0.0 if shift is None else float(np.linalg.norm(shift)))
+             + (0.0 if tau is None else tau * math.sqrt(F.dim)))
+    D = 0.0  # the bound on |x - x~|
 
     def take(segment):
+        nonlocal D
         for i in segment:
-            ridx, rval = rows[i]
-            z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
-            c = deriv(z, labels[i]) - d_list[i]
+            if norm_list[i] * D < dist[i]:
+                c = 0.0  # proven: a_i x keeps f' on a_i x~'s flat piece
+            else:
+                ridx, rval = rows[i]
+                z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
+                c = deriv(z, labels[i]) - d_list[i]
             if c == 0.0:
                 np.subtract(x, mu_eta, x)  # v's bits but for signed zeros
+                D = D * rho + H
             else:
                 if ridx is None:
                     np.multiply(rval, c, v)
@@ -473,6 +536,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                     v[ridx] += c * rval
                 np.multiply(v, etas, v)
                 np.subtract(x, v, x)
+                D = (D + (c if c > 0.0 else -c) * step_list[i]) * rho + H
             if shift is not None:
                 np.add(x, shift, x)
             if taus is None:
@@ -501,6 +565,17 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         if todo <= 0:
             break
         d_list = d_tilde.tolist()
+        # the skip test's snapshot terms: each row's proven room less the
+        # dot products' rounding, and H, the bound's growth per step; an
+        # infinity or NaN in x makes them NaN or infinite, so no step skips
+        with np.errstate(invalid="ignore", over="ignore"):
+            xn = float(np.linalg.norm(x))
+            dist = ((1.0 - g) * flat_room(z_tilde) - g * xn * norms
+                    - _TINY).tolist()
+            drift = float(np.linalg.norm(F.reg.prox(x - mu_eta, eta) - x))
+            H = (drift + 2.0 ** -49 * (xn + float(np.linalg.norm(mu_eta))
+                                       + fixed) + 2.0 * _TINY) * (1.0 + g)
+        D = 0.0
         draws = rng.integers(0, n, size=m)[:todo].tolist()
         if run.steps(draws, take, x, gap_every):
             break

@@ -5,7 +5,8 @@ The brute-force functions recompute smoothing and conjugacy by direct grid
 maximization, so the closed forms in `adaptreduce.losses` and
 `adaptreduce.regularizers` can be tested against something independent;
 `ScalarLoss` is the one-term loss they take.  `quadratic_reference` gives
-exact minimizers of quadratics for solver certification.
+exact minimizers of quadratics for solver certification, and `plain_svrg`
+is prox-SVRG by its formula, one step at a time.
 """
 import math
 from dataclasses import dataclass
@@ -14,8 +15,9 @@ import numpy as np
 
 from adaptreduce import (ConfigError, Regularizer, conjugate_domain,
                          loss_conjugate, loss_deriv, loss_lipschitz,
-                         loss_smoothness, loss_value)
+                         loss_smoothness, loss_value, smoothed_deriv)
 from adaptreduce.losses import _check_kind
+from adaptreduce.solvers import _rng
 
 
 @dataclass(frozen=True)
@@ -126,3 +128,33 @@ def quadratic_reference(Q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
         raise ConfigError("quadratic_reference requires a positive definite matrix")
     x = np.linalg.solve(Q, b)
     return x, float(-0.5 * (b @ x))
+
+
+def plain_svrg(F, x0, steps: int, seed):
+    """x after `steps` prox-SVRG steps, and each step's row i and
+    coefficient c, as `svrg_hood` runs them under FixedIterations (a
+    snapshot every 2n steps, the same draws), but by the formula: every
+    step takes a_i x over the row's stored entries, calls the vector
+    derivative for c = f'(a_i x) - f'(a_i x~), and `Regularizer.prox` on
+    x - eta (c a_i + mu)."""
+    L = F.smoothness if F.smoothness > 0.0 else F.strong_convexity
+    eta = 1.0 / L
+    rng = _rng(seed)
+    b = F.data.labels
+    x = np.array(x0, dtype=float)
+    taken = []
+    while len(taken) < steps:
+        d_tilde = F.loss_derivs(F.margins(x))
+        mu = F.full_gradient(x)
+        left = steps - len(taken)
+        for i in rng.integers(0, F.n, size=2 * F.n)[:left].tolist():
+            idx, val = F.data.row(i)
+            z = float(val @ x[idx])
+            d = (loss_deriv(F.loss, z, b[i]) if F.smoothing is None
+                 else smoothed_deriv(F.loss, z, b[i], F.smoothing))
+            c = float(d) - float(d_tilde[i])
+            a = np.zeros(F.dim)
+            a[idx] = val
+            x = F.reg.prox(x - (c * a + mu) * eta, eta)
+            taken.append((i, c))
+    return x, taken

@@ -5,6 +5,7 @@ domain (brute_force_smoothed / brute_force_conjugate, which never touch the
 closed forms) and hand-derived literals frozen below.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from adaptreduce import (ConfigError, conjugate_domain, loss_conjugate,
                          loss_deriv, loss_lipschitz, loss_smoothness,
                          loss_value, smoothed_conjugate, smoothed_deriv,
                          smoothed_value)
-from adaptreduce.losses import _smoothed_value_and_deriv, scalar_deriv
+from adaptreduce.losses import (_smoothed_value_and_deriv, flat_room,
+                                scalar_deriv)
 from helpers import ScalarLoss, brute_force_conjugate, brute_force_smoothed
 
 KINDS = ("squared", "logistic", "hinge")
@@ -252,6 +254,46 @@ def test_scalar_deriv_is_bit_equal_to_the_vector_functions():
                 got = [deriv(zi, b) for zi in z.tolist()]
                 assert all(type(g) is float for g in got)
                 assert np.array(got).tobytes() == want.tobytes(), (kind, lam, b)
+
+
+def test_flat_room_keeps_the_smoothed_hinge_derivative():
+    # every float within flat_room's e of a margin z gives the smoothed
+    # hinge's scalar derivative z's value: checked, in exact arithmetic, at
+    # the floats nearest z +- e, for every float within 40 ulps of either
+    # edge of the ramp.  The room is proven a few floats short of the flat
+    # piece's end: at most 4 floats with a flat value get none
+    for b in (1.0, -1.0, 0.5, -3.0, 1.7):
+        for lam in (37.0, 0.2, 1e-3, 1e-6, 1e-8):
+            deriv = scalar_deriv("hinge", lam)
+            for edge in ((1.0 - lam * b * b) / b, 1.0 / b):
+                zs = [edge]
+                for _ in range(40):
+                    zs = ([math.nextafter(zs[0], -math.inf)] + zs
+                          + [math.nextafter(zs[-1], math.inf)])
+                room = flat_room("hinge", b, lam)(np.array(zs)).tolist()
+                proven = 0
+                for z, e in zip(zs, room):
+                    if e < 0.0:
+                        continue
+                    proven += 1
+                    for end in (z + e, z - e):
+                        if abs(Fraction(end) - Fraction(z)) > Fraction(e):
+                            end = math.nextafter(end, z)
+                        assert deriv(end, b) == deriv(z, b), (b, lam, z)
+                flat = sum(deriv(z, b) in (-b, 0.0) for z in zs)
+                assert 0 < flat - proven <= 4, (b, lam, edge)
+
+
+def test_flat_room_claims_nothing_without_a_flat_piece():
+    z = np.array([-2.0, 0.0, 0.5, 1.0, 3.0])
+    for kind, lam in (("squared", None), ("squared", 0.2),
+                      ("logistic", None), ("logistic", 0.2), ("hinge", None)):
+        assert np.all(flat_room(kind, 1.0, lam)(z) == -np.inf), (kind, lam)
+    # b = 0 makes the smoothed hinge constant, so any move keeps f'
+    assert np.all(flat_room("hinge", 0.0, 0.2)(z) == np.inf)
+    # on the ramp nothing is proven
+    assert np.all(flat_room("hinge", 1.0, 0.2)(np.array([0.85, 0.9, 0.95]))
+                  < 0.0)
 
 
 def test_smoothed_hinge_scalar_deriv_keeps_its_bits_at_the_clamp_edges():

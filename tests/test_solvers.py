@@ -13,9 +13,9 @@ from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          apg_hood, dense_to_dataset, exact_oracle,
                          gen_classification, gen_regression, prox_gd_hood,
                          reference_minimize, sdca_hood, svrg_hood)
-from adaptreduce import solvers
+from adaptreduce import losses, solvers
 from adaptreduce.solvers import _sdca_coordinate
-from helpers import quadratic_reference
+from helpers import plain_svrg, quadratic_reference
 
 
 def ridge(rng, n, d, l2):
@@ -505,6 +505,148 @@ def test_svrg_zero_coefficient_steps_keep_their_bits(name, steps):
     assert r.iterations == steps
     assert (hashlib.sha256(r.x_out.tobytes()).hexdigest()
             == ZERO_COLUMN_DIGESTS[name, steps])
+
+
+def labelled_rows(seed, n, d):
+    """`gen_classification` rows with labels of size 0.5, 1 and 3, and one
+    label 0, whose smoothed hinge is constant."""
+    data = gen_classification(seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    labels = data.labels * rng.choice([0.5, 1.0, 3.0], size=n)
+    labels[n - 1] = 0.0
+    return Dataset(data.indptr, data.indices, data.values, labels, d)
+
+
+def edge_start(F, k=6):
+    """An x0 that puts the margins of rows 0..k-1 on the edges of their
+    ramps, up to rounding: even rows where u = (b z - 1)/(lam b^2) is 0,
+    odd rows where it is -1."""
+    b = F.data.labels[:k]
+    lam = F.smoothing
+    edges = np.where(np.arange(k) % 2 == 0, 1.0 / b, (1.0 - lam * b * b) / b)
+    return np.linalg.lstsq(F.data.dense()[:k], edges, rcond=None)[0]
+
+
+PLAIN_DATA = {
+    "dense": lambda: labelled_rows(5, 60, 12),
+    "mixed-rows": lambda: mixed_rows(81, 60, 12),
+    "zero-column": zero_column_rows,
+}
+
+
+@pytest.mark.parametrize("lam", [0.2, 1e-3, 1e-6])
+@pytest.mark.parametrize("name", list(PLAIN_DATA))
+def test_svrg_keeps_the_bits_of_the_plain_formula(name, lam):
+    # the skipped dot products must change no float: x_out against prox-SVRG
+    # by its formula (helpers.plain_svrg), which computes every c and calls
+    # Regularizer.prox.  Six rows start on the edges of their ramps, where
+    # an ulp's move can turn c nonzero; at small lam the ramps are narrow
+    # and the steps short, so margins stay near the edges
+    data = PLAIN_DATA[name]()
+    center = np.append(CENTER, np.full(data.dim - 12, -0.0))
+    regs = (Regularizer(l2=0.05),
+            Regularizer(l1=0.2, shift_weight=0.1, shift_center=center),
+            Regularizer(shift_weight=0.1, shift_center=center))
+    nonzero = 0
+    for k, reg in enumerate(regs):
+        F = CompositeObjective(data, "hinge", reg, lam)
+        x0 = edge_start(F)
+        seed = 100 * k + int(-math.log10(lam))
+        r = svrg_hood(F, x0, FixedIterations(2000), seed=seed)
+        x, taken = plain_svrg(F, x0, 2000, seed)
+        assert r.x_out.tobytes() == x.tobytes(), reg
+        nonzero += sum(c != 0.0 for _, c in taken)
+    assert nonzero > 0
+
+
+def counting_derivs(monkeypatch):
+    """A list whose one element counts the calls to the functions that
+    F.scalar_deriv returns from now on."""
+    calls = [0]
+    make = losses.scalar_deriv
+
+    def counted(kind, lam=None):
+        deriv = make(kind, lam)
+
+        def call(z, b):
+            calls[0] += 1
+            return deriv(z, b)
+        return call
+    monkeypatch.setattr(losses, "scalar_deriv", counted)
+    return calls
+
+
+def test_svrg_skips_derivatives_only_where_the_loss_is_flat(monkeypatch):
+    # the skip is live on the smoothed hinge, whose derivative is flat off
+    # the ramp, and absent where no piece is flat: squared and logistic
+    # loss, smoothed or not, call f' on every step
+    calls = counting_derivs(monkeypatch)
+    data = mixed_rows(81, 60, 12)
+    for loss, lam in (("hinge", 0.2), ("squared", None), ("squared", 0.2),
+                      ("logistic", None), ("logistic", 0.2)):
+        F = CompositeObjective(data, loss, Regularizer(l2=0.05), lam)
+        calls[0] = 0
+        r = svrg_hood(F, np.zeros(12), FixedIterations(500), seed=7)
+        assert r.iterations == 500
+        if loss == "hinge":
+            assert calls[0] < 250
+        else:
+            assert calls[0] == 500, loss
+
+
+def test_svrg_never_skips_a_step_across_a_ramps_edge(monkeypatch):
+    # row 0, a_0 = (1, 0), starts with its margin x0[0] on an edge of its
+    # ramp: the last float of the flat piece moved by -4..4 ulps, and by
+    # distances from 1e-15 to 1e-3 of the ramp's width; then the
+    # regularizer drags x[0] across that edge, into the ramp (l2) or onto
+    # the flat piece (a shift centred at x[0] = +-5).  So the bound |a_0| D
+    # meets row 0's room from either side, and the margin crosses the edge
+    # within a few steps.  Step k computes c when the k-step run calls f'
+    # once more than the (k-1)-step run; every step whose c is not 0 must,
+    # and x must keep the plain formula's bits
+    calls = counting_derivs(monkeypatch)
+    data = dense_to_dataset(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -0.5]]),
+                            np.array([1.0, 1.0, -1.0]))
+    regs = (Regularizer(l2=0.05),
+            Regularizer(shift_weight=0.5, shift_center=np.array([5.0, 0.0])),
+            Regularizer(shift_weight=0.5, shift_center=np.array([-5.0, 0.0])))
+    steps = 12
+    row0 = {"skipped": 0, "computed": 0, "nonzero": 0}
+    for lam in (0.2, 1e-6):
+        deriv = losses.scalar_deriv("hinge", lam)
+        for u, inward in ((0.0, -math.inf), (-1.0, math.inf)):
+            # the flat piece's last float, where f' = b u (b = 1); its
+            # inward neighbour is on the ramp
+            edge = 1.0 + u * lam
+            while deriv(edge, 1.0) != u:
+                edge = math.nextafter(edge, -inward)
+            while deriv(math.nextafter(edge, inward), 1.0) == u:
+                edge = math.nextafter(edge, inward)
+            starts = [edge]
+            for _ in range(4):
+                starts = ([math.nextafter(starts[0], inward)] + starts
+                          + [math.nextafter(starts[-1], -inward)])
+            starts += [edge - math.copysign(lam * f, inward)
+                       for f in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
+            for reg in regs:
+                F = CompositeObjective(data, "hinge", reg, lam)
+                for start in starts:
+                    x0 = np.array([start, 0.25])
+                    x, taken = plain_svrg(F, x0, steps, seed=3)
+                    made = []
+                    for k in range(steps + 1):
+                        calls[0] = 0
+                        r = svrg_hood(F, x0, FixedIterations(k), seed=3)
+                        made.append(calls[0])
+                    assert r.x_out.tobytes() == x.tobytes()
+                    for k, (i, c) in enumerate(taken):
+                        computed = made[k + 1] > made[k]
+                        assert computed or c == 0.0, (lam, u, reg, start, k)
+                        if i == 0:
+                            row0["computed" if computed else "skipped"] += 1
+                            row0["nonzero"] += c != 0.0
+    # the sweep meets both sides of the bound, and edges that are crossed
+    assert min(row0.values()) > 0, row0
 
 
 def test_grad_policy_refuses_an_l1_term():
