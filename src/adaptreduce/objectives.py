@@ -128,14 +128,19 @@ class CompositeObjective:
         treat those terms as part of the smooth piece.
         """
         x = np.asarray(x, dtype=float)
-        if self.n == 0:
-            g = np.zeros(self.dim)
-        else:
-            derivs = self.loss_derivs(self.margins(x))
-            g = data_mod.rmatvec(self.data, derivs) / self.n
+        g = self._gradient_pieces(x)[2]
         if include_quadratic_reg:
             g = g + self.reg.differentiable_gradient(x)
         return g
+
+    def _gradient_pieces(self, x):
+        """(z, alpha, g): the margins z = A x, alpha = f'(z) and the f-part
+        gradient g = A^T alpha / n, whose -g is _gap's v bit for bit."""
+        if self.n == 0:
+            return np.zeros(0), np.zeros(0), np.zeros(self.dim)
+        z = self.margins(x)
+        alpha = self.loss_derivs(z)
+        return z, alpha, data_mod.rmatvec(self.data, alpha) / self.n
 
     @property
     def scalar_deriv(self):
@@ -188,7 +193,8 @@ class CompositeObjective:
     def _gap(self, x, z, alpha, v) -> float:
         """duality_gap(x) from the pieces it computes: the margins z = A x,
         alpha = f'(z) and v = -(1/n) A^T alpha.  An oracle that holds them
-        (SDCA's dual start, SVRG's snapshot) takes the gap at no pass."""
+        (SDCA's dual start, SVRG's snapshot, the first gradient of prox-GD
+        and APG) takes the gap at no pass."""
         f = float(self.loss_values(z).mean()) if self.n else 0.0
         primal = f + self.reg.value(x)  # full_value(x), from the same z
         return primal - self._dual_value(alpha, v)

@@ -367,16 +367,10 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
         due = it > 0 and it % check_every == 0
         if due and not free_norm and run.check(x, reserve=1):
             break
-        if it == 0 and run.wants_input_gap:
-            # the first gradient's pieces at y = x0 give the input gap free:
-            # g is full_gradient(x0) and -g its v, bit for bit
-            z = F.margins(x)
-            alpha = F.loss_derivs(z)
-            g = data_mod.rmatvec(F.data, alpha) / F.n
-            run.baseline = F._gap(x, z, alpha, -g)
-        else:
-            g = F.full_gradient(y)
+        z, alpha, g = F._gradient_pieces(y)
         run.full += 1
+        if it == 0 and run.wants_input_gap:  # free: y is the input x0
+            run.baseline = F._gap(x, z, alpha, -g)
         # free: reuses g at y = x, adds only psi's closed-form gradient
         if due and free_norm and run.record(
                 np.linalg.norm(g + F.reg.differentiable_gradient(x))):
@@ -455,12 +449,12 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
        |x| <= |x~| + D, so |z - z~_i| <= |a_i| D (1 + gamma_d)
        + 2 gamma_d |a_i| |x~| + 2^-1000.
     3. One step: with the computed constants, P(y) = shrink(y + shift,
-       tau)/scale is 1/scale-Lipschitz, since the shrink is nonexpansive,
-       and scale >= 1.  Each element of the computed step meets at most 7 roundings (c a_ij,
-       + mu_j, * eta, x_j -, + shift_j, - tau, / scale), so the computed
-       x+ = P(x - eta (c a_i + mu)) + e with |e| <= 8u (|x| + eta |c| |a_i|
-       + eta |mu| + |shift| + tau sqrt(d)) + 2^-1000; the zero-coefficient
-       body has fewer roundings.
+       tau)/scale is 1/scale-Lipschitz, as the shrink is nonexpansive, and
+       scale >= 1.  Each element of the computed step meets at most 7
+       roundings (c a_ij, + mu_j, * eta, x_j -, + shift_j, - tau, / scale),
+       so the computed x+ = P(x - eta (c a_i + mu)) + e with |e| <= 8u (|x|
+       + eta |c| |a_i| + eta |mu| + |shift| + tau sqrt(d)) + 2^-1000; the
+       zero-coefficient body has fewer roundings.
     4. The bound: by 3, |x+ - x~| <= (|x - x~| + eta |c| |a_i|)/scale + G
        + |e|, with G = |P(x~ - eta mu) - x~|.  So D = 0 at the snapshot and
        D+ = (D + eta |c| |a_i|) (1/scale + 8u) + H after each step, c = 0
@@ -551,9 +545,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         if not run.room_for(full=1, samples=1):
             break
         # snapshot
-        z_tilde = F.margins(x)
-        d_tilde = np.asarray(F.loss_derivs(z_tilde), dtype=float)
-        mu = data_mod.rmatvec(F.data, d_tilde) / n
+        z_tilde, d_tilde, mu = F._gradient_pieces(x)
         mu_eta = mu * etas  # the step of every draw whose c is zero
         run.full += 1
         if run.wants_input_gap:  # the first snapshot is at the input
