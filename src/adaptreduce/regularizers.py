@@ -23,11 +23,12 @@ def _shrink(v, tau, zero, scratch=None, out=None):
     one implementation of the formula.  tau is None for tau = 0, where the
     formula is v + 0.0 bit for bit, signed zeros included (sign(-0.0) is
     0.0).  Either way every zero of v comes out +0.0, and the step loops
-    rely on it: SVRG's zero-coefficient step may leave a zero of x with
-    another sign than the full step gives it, for the shrink to write as
-    +0.0.  tau and `zero` are floats or arrays like v; the step loops pass
-    arrays, which numpy 2 takes faster than Python floats (0.4 against 0.7
-    us a call on 100 floats, numpy 2.4 on a 2-vCPU x86 host)."""
+    rely on it: a zero of x - v may carry either sign, and SVRG's
+    zero-coefficient step gives every bit of the formula only because the
+    formula writes such a zero as +0.0 (see `solvers`).  tau and `zero`
+    are floats or arrays like v; the step loops pass arrays, which numpy 2
+    takes faster than Python floats (0.4 against 0.7 us a call on 100
+    floats, numpy 2.4 on a 2-vCPU x86 host)."""
     if tau is None:
         return np.add(v, zero, out)
     t = np.abs(v, scratch)

@@ -56,12 +56,14 @@ formulas give:
   and writing a result into a buffer changes none of its bits;
 - prox-SVRG moves x by eta (c a_i + mu) with c = f'(a_i x) - f'(a_i x~).
   Where f' is flat (the smoothed hinge off its ramp) c is often exactly
-  zero, and such a step subtracts mu eta, made once per snapshot, instead:
-  with c = +-0, c a_ij + mu_j is mu_j bit for bit but for the sign of a
-  zero, and that sign reaches x only as a zero of x - v.  A nonzero shift
-  replaces such a zero, and the shrink makes every zero +0.0 before the
-  divide (v + 0.0 at tau None, sign(-0.0) = 0 at tau > 0), so x keeps
-  every bit;
+  zero: with c = +-0, c a_ij + mu_j is mu_j bit for bit but for the sign
+  of a zero, and that sign reaches x only as a zero of x - v, which the
+  step writes as +0.0 (the shrink's + 0.0 at tau None, taken right after
+  x - v, or sign(-0.0) = 0 at tau > 0).  So such a step adds -mu eta with
+  its zeros made +0.0, made once per snapshot: that is (x - mu eta) + 0.0
+  bit for bit, since x - y is x + (-y) and a sum is -0.0 only when both
+  terms are.  For the same reason a shift added after the + 0.0 makes no
+  -0.0, so x keeps every bit;
 - before it forms a_i x, a prox-SVRG step tests |a_i| D < dist_i: D bounds
   |x - x~| and is updated in O(1) a step, dist_i is how far a_i x may move
   from the snapshot margin with f' keeping its value, made in O(n) once
@@ -425,11 +427,11 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     is taken at each snapshot, free, since the snapshot gradient is in hand.
 
     A step whose variance-reduced coefficient c = f'(a_i x) - f'(a_i x~) is
-    zero, of either sign, moves x by mu*eta, made once per snapshot, and
-    skips c*a_i: it gives every bit of the full step (see the module
-    docstring), since that step's v differs from mu*eta only in the signs
-    of zeros, and those reach x only as zeros of x - v, which a nonzero
-    shift replaces and the shrink writes as +0.0.
+    zero, of either sign, adds -mu*eta with its zeros made +0.0, made once
+    per snapshot, and skips c*a_i and the + 0.0: it gives every bit of the
+    full step (see the module docstring), since that step's v differs from
+    mu*eta only in the signs of zeros, and (x - v) + 0.0 writes every zero
+    of x - v as +0.0.
 
     Before it computes a_i x, a step asks whether a proven bound keeps that
     margin where f' has the value d~_i it has at the snapshot margin z~_i;
@@ -519,7 +521,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                 z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
                 c = deriv(z, labels[i]) - d_list[i]
             if c == 0.0:
-                np.subtract(x, mu_eta, x)  # v's bits but for signed zeros
+                np.add(x, mu_eta_neg, x)  # (x - mu eta) + 0.0, bit for bit
                 D = D * rho + H
             else:
                 if ridx is None:
@@ -530,12 +532,12 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                     v[ridx] += c * rval
                 np.multiply(v, etas, v)
                 np.subtract(x, v, x)
+                if taus is None:
+                    np.add(x, zeros, x)  # _shrink's +0.0 at tau None
                 D = (D + (c if c > 0.0 else -c) * step_list[i]) * rho + H
             if shift is not None:
                 np.add(x, shift, x)
-            if taus is None:
-                np.add(x, zeros, x)  # _shrink at tau None
-            else:
+            if taus is not None:
                 _shrink(x, taus, zeros, t, x)
             np.divide(x, scales, x)
 
@@ -546,7 +548,9 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
             break
         # snapshot
         z_tilde, d_tilde, mu = F._gradient_pieces(x)
-        mu_eta = mu * etas  # the step of every draw whose c is zero
+        mu_eta = mu * etas
+        # the step of every draw whose c is zero, its zeros made +0.0
+        mu_eta_neg = np.add(np.negative(mu_eta), zeros)
         run.full += 1
         if run.wants_input_gap:  # the first snapshot is at the input
             run.baseline = F._gap(x, z_tilde, d_tilde, -mu)
@@ -564,7 +568,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
             xn = float(np.linalg.norm(x))
             dist = ((1.0 - g) * flat_room(z_tilde) - g * xn * norms
                     - _TINY).tolist()
-            drift = float(np.linalg.norm(F.reg.prox(x - mu_eta, eta) - x))
+            drift = float(np.linalg.norm(F.reg.prox(x + mu_eta_neg, eta) - x))
             H = (drift + 2.0 ** -49 * (xn + float(np.linalg.norm(mu_eta))
                                        + fixed) + 2.0 * _TINY) * (1.0 + g)
         D = 0.0
