@@ -133,13 +133,13 @@ class CompositeObjective:
             g = g + self.reg.differentiable_gradient(x)
         return g
 
-    def _gradient_pieces(self, x):
+    def _gradient_pieces(self, x, allow_subgradient: bool = False):
         """(z, alpha, g): the margins z = A x, alpha = f'(z) and the f-part
         gradient g = A^T alpha / n, whose -g is _gap's v bit for bit."""
         if self.n == 0:
             return np.zeros(0), np.zeros(0), np.zeros(self.dim)
         z = self.margins(x)
-        alpha = self.loss_derivs(z)
+        alpha = self.loss_derivs(z, allow_subgradient=allow_subgradient)
         return z, alpha, data_mod.rmatvec(self.data, alpha) / self.n
 
     @property
@@ -163,8 +163,10 @@ class CompositeObjective:
 
     # -- duality ---------------------------------------------------------
     def dual_value(self, alpha) -> float:
-        """The Fenchel dual -mean_i f_i*(alpha_i) - psi*(-(1/n) A^T alpha)."""
-        v = -data_mod.rmatvec(self.data, alpha) / self.n
+        """The Fenchel dual -mean_i f_i*(alpha_i) - psi*(-(1/n) A^T alpha),
+        where a mean over no rows is 0, as in f_value."""
+        v = (-data_mod.rmatvec(self.data, alpha) / self.n if self.n
+             else np.zeros(self.dim))
         return self._dual_value(alpha, v)
 
     def _dual_value(self, alpha, v) -> float:
@@ -174,7 +176,8 @@ class CompositeObjective:
             fstar = losses.smoothed_conjugate(self.loss, alpha, b, self.smoothing)
         else:
             fstar = losses.loss_conjugate(self.loss, alpha, b)
-        return -float(fstar.mean()) - self.reg.conjugate_value(v)
+        mean = float(fstar.mean()) if self.n else 0.0
+        return -mean - self.reg.conjugate_value(v)
 
     def duality_gap(self, x) -> float:
         """Primal value minus Fenchel dual value at alpha_i = f_i'(z_i).
@@ -185,16 +188,17 @@ class CompositeObjective:
         if self.strong_convexity <= 0.0:
             raise ConfigError("duality gap unavailable: psi is not strongly convex")
         x = np.asarray(x, dtype=float)
-        z = self.margins(x)  # one matvec serves both the primal and alpha
-        alpha = self.loss_derivs(z, allow_subgradient=True)
-        v = -data_mod.rmatvec(self.data, alpha) / self.n
-        return self._gap(x, z, alpha, v)
+        # one matvec serves both the primal and alpha
+        z, alpha, g = self._gradient_pieces(x, allow_subgradient=True)
+        return self._gap(x, z, alpha, -g)
 
     def _gap(self, x, z, alpha, v) -> float:
         """duality_gap(x) from the pieces it computes: the margins z = A x,
         alpha = f'(z) and v = -(1/n) A^T alpha.  An oracle that holds them
         (SDCA's dual start, SVRG's snapshot, the first gradient of prox-GD
-        and APG) takes the gap at no pass."""
+        and APG, or the pieces of the previous call's last gap) takes the
+        gap at no pass.  The pieces do not depend on psi, so they serve
+        every objective on the same data, loss and smoothing."""
         f = float(self.loss_values(z).mean()) if self.n else 0.0
         primal = f + self.reg.value(x)  # full_value(x), from the same z
         return primal - self._dual_value(alpha, v)

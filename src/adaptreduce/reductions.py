@@ -114,12 +114,19 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
     PracticalGapQuarter each epoch cuts the gap of its own F_t at its input.
     PracticalGradThird keeps the handoff: a 3x cut of the gradient norm
     bounds F_out - F* only by L/(9 sigma) (F_in - F*), and adapt_smooth
-    doubles L/sigma every epoch.  The run ends with the schedule,
-    when `stalled(report)` is true, or once the pass budget is spent: an
-    epoch that could afford no work leaves the remaining budget, and so
-    every later epoch, unchanged.  The hinge references use `stalled` as a
-    stop hook too: it polishes each epoch's output and ends the run at the
-    first certified point.
+    doubles L/sigma every epoch.
+
+    The driver hands each report's `state` to the next call as `state=`
+    and reads nothing inside it: an oracle starts from it where it fits
+    that call, and ignores it elsewhere.
+
+    The run ends with the schedule, when `stalled(report)` is true, or once
+    the pass budget is spent: an epoch that could afford no work leaves the
+    remaining budget, and so every later epoch, unchanged.  (Under
+    PracticalGapQuarter the package's oracles work only when their start,
+    their first segment of steps and the check that ends it all fit.)  The
+    hinge references use `stalled` as a stop hook too: it polishes each
+    epoch's output and ends the run at the first certified point.
     """
     x_hat = np.array(x0, dtype=float)
     records: list[EpochRecord] = []
@@ -127,6 +134,7 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
     full = 0
     samples = 0
     baseline = None
+    state = None
     F_prev = None
     for t, (sigma_t, lam_t) in enumerate(schedule):
         remaining = None
@@ -138,7 +146,8 @@ def _drive(F, oracle, x0, policy, schedule, transform, *, seed=None,
         if F_t is not F_prev and not isinstance(policy, PracticalGradThird):
             baseline = None
         report = oracle(F_t, x_hat, policy, seed=epoch_seed(seed, t),
-                        pass_cap=remaining, baseline=baseline)
+                        pass_cap=remaining, baseline=baseline, state=state)
+        state = report.state
         full += report.full_evals
         samples += report.sample_evals
         if report.recorded_stat is not None:

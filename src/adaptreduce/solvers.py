@@ -8,7 +8,8 @@ stochastic solvers provide that decrease in expectation only.
 
 Every solver is called as
 
-    oracle(F, x0, policy, *, seed=None, pass_cap=None, baseline=None)
+    oracle(F, x0, policy, *, seed=None, pass_cap=None, baseline=None,
+           state=None)
 
 where `baseline` is the statistic the practical policies measure their
 decrease against.  A caller hands one in only when it was measured on the
@@ -19,12 +20,25 @@ first gradient of prox-GD and APG hold its pieces, so it costs no pass.
 PracticalGradThird takes the first norm it records.  Policies carry no
 state between calls.
 
+`state` is the previous call's report.state, opaque to the caller.  A
+report carries the pieces of its last duality gap when that gap was taken
+at x_out: z = A x_out, alpha = f'(z) and g = A^T alpha / n.  They depend on
+the data, the loss and the smoothing, not on psi, so a call whose x0 has
+x_out's bytes and whose F shares those three starts from them: SDCA's dual
+start, SVRG's first snapshot and the first gradient of prox-GD and APG are
+those floats bit for bit, and cost no pass.  Any other state, None
+included, is ignored, and the call pays for its start.
+
 Each oracle keeps its books in one `_Run`, which holds the contract:
 - budget: TheoryBudget runs the oracle's own certified step count,
   FixedIterations its k; under a practical policy there is none, and the
   policy, the pass cap or the statistic floor stops the run;
-- `wants_input_gap` says the gap policy has no baseline, so the oracle
-  sets the gap at its input as one, from the pieces of its first pass;
+- `start(x0, state, first, reserve)` gives the pieces at the input, from
+  `state` or for one pass, or None when the call may take no step: its
+  start and, under the gap policy, its first segment of `first` steps and
+  the check that ends it must fit under the cap, so that no step goes
+  unjudged.  The gap policy without a baseline sets the gap at the input
+  as one, from those pieces;
 - `check(x, reserve)` pays one pass for the policy's statistic at x and
   records it, and says stop when the policy is met or that pass and
   `reserve` more would not fit under the cap; a free statistic (a gradient
@@ -41,8 +55,9 @@ Each oracle keeps its books in one `_Run`, which holds the contract:
 Pass accounting: one full-gradient or statistic evaluation costs one pass
 over the data; one stochastic step costs 1/n.  A gradient-norm statistic
 evaluated at a point whose full gradient was just computed (SVRG snapshots,
-prox-GD iterates) is free.  Counts are kept as integers (full passes and
-sample steps) so totals are exact.
+prox-GD iterates) is free, and so is a start whose pieces are handed in as
+`state`.  Counts are kept as integers (full passes and sample steps) so
+totals are exact.
 
 The SVRG and SDCA step loops run once per sample in Python, so they work on
 lists, row views and d-float buffers made once per call and write x, v and
@@ -90,12 +105,12 @@ formulas give:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from . import data as data_mod
+from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .objectives import Case, CompositeObjective
 from .regularizers import _shrink
@@ -134,9 +149,6 @@ class PracticalGapQuarter:
     def interval(self, n: int) -> int:
         return max(1, math.ceil(n / 3))
 
-    def stat(self, F: CompositeObjective, x) -> float:
-        return F.duality_gap(x)
-
 
 @dataclass
 class PracticalGradThird:
@@ -158,9 +170,6 @@ class PracticalGradThird:
 
     def interval(self, n: int) -> int:
         return max(1, 2 * n)
-
-    def stat(self, F: CompositeObjective, x) -> float:
-        return F.grad_norm(x, include_quadratic_reg=True)
 
 
 @dataclass
@@ -188,6 +197,8 @@ class OracleReport:
     full_evals: int = 0
     sample_evals: int = 0
     recorded_stat: float | None = None  # last statistic recorded, if any
+    # opaque: hand it to the next call as state= (see the module docstring)
+    state: object = field(default=None, repr=False, compare=False)
 
     @property
     def final_stat(self) -> float:
@@ -195,6 +206,25 @@ class OracleReport:
         if self.recorded_stat is None:
             return 0.0
         return max(float(self.recorded_stat), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class _GapPieces:
+    """An oracle's state: the pieces of a duality gap taken at the point
+    whose bytes are `x`, with z = A x, alpha = f'(z) and g = A^T alpha / n
+    on `data`, `loss` and `smoothing`.  Never written after it is made."""
+
+    x: bytes
+    data: Dataset
+    loss: str
+    smoothing: float | None
+    z: np.ndarray
+    alpha: np.ndarray
+    g: np.ndarray
+
+    def fits(self, F, x) -> bool:
+        return (self.data is F.data and self.loss == F.loss
+                and self.smoothing == F.smoothing and self.x == x.tobytes())
 
 
 class _Run:
@@ -224,6 +254,7 @@ class _Run:
         self.full = 0
         self.samples = 0
         self.since = 0  # stochastic steps since the last check
+        self.kept: _GapPieces | None = None  # the last gap's pieces
 
     @property
     def passes(self) -> float:
@@ -252,11 +283,47 @@ class _Run:
             return False
         return self.latest < self.policy.factor * self.baseline
 
-    @property
-    def wants_input_gap(self) -> bool:
-        """The gap policy without a baseline takes the gap at the input."""
-        return (isinstance(self.policy, PracticalGapQuarter)
-                and self.baseline is None)
+    def pieces(self, x):
+        """(z, alpha, g) at x: the margins z = A x, alpha = f'(z) and the
+        f-part gradient g = A^T alpha / n, for one pass."""
+        self.full += 1
+        return self.F._gradient_pieces(x)
+
+    def gap(self, x, z, alpha, g) -> float:
+        """The duality gap of F at x from its pieces; they are kept, and the
+        report hands them on as its state when x is its output."""
+        self.kept = _GapPieces(x.tobytes(), self.F.data, self.F.loss,
+                               self.F.smoothing, z, alpha, g)
+        return self.F._gap(x, z, alpha, -g)
+
+    def start(self, x, state, first: int, reserve: int = 0):
+        """The pieces at the input x, or None: the call takes no step.
+
+        They are `state`'s when it was taken at x's bytes on F's data, loss
+        and smoothing, at no pass, and else cost one.  The call steps only
+        if its start and one step fit under the cap; under the gap policy,
+        its first segment, `first` steps, and the check that ends it with
+        its `reserve` must fit too, so that a run never ends on steps that
+        no check has judged.  The gap policy without a baseline takes the
+        gap at x from the pieces as its baseline."""
+        free = state is not None and state.fits(self.F, x)
+        gap_policy = isinstance(self.policy, PracticalGapQuarter)
+        full, samples = (0 if free else 1), min(first, 1)
+        if gap_policy:
+            full, samples = full + 1 + reserve, first
+        if self.budget == 0 or not self.room_for(full=full, samples=samples):
+            return None
+        pieces = (state.z, state.alpha, state.g) if free else self.pieces(x)
+        if gap_policy and self.baseline is None:
+            self.baseline = self.gap(x, *pieces)
+        return pieces
+
+    def stat(self, x, use_gap: bool) -> float:
+        """The duality gap or the gradient norm at x, for one pass."""
+        if use_gap:
+            return self.gap(x, *self.pieces(x))
+        self.full += 1
+        return self.F.grad_norm(x, include_quadratic_reg=True)
 
     def check(self, x, reserve=0) -> bool:
         """Pay one pass for the policy's statistic at x and record it; True
@@ -264,8 +331,8 @@ class _Run:
         not fit under the cap."""
         if not self.room_for(full=1 + reserve):
             return True
-        self.full += 1
-        return self.record(self.policy.stat(self.F, x))
+        return self.record(
+            self.stat(x, isinstance(self.policy, PracticalGapQuarter)))
 
     def todo(self, most: int) -> int:
         """How many more stochastic steps, at most `most`, the budget and
@@ -297,16 +364,19 @@ class _Run:
         """The report.  A budgeted run that took a step first pays for its
         closing statistic, the duality gap or the gradient norm, if it fits."""
         if self.budget is not None and iterations > 0 and self.room_for(full=1):
-            self.full += 1
-            self.latest = (self.F.duality_gap(x) if use_gap
-                           else self.F.grad_norm(x, include_quadratic_reg=True))
+            self.latest = self.stat(x, use_gap)
+        x_out = np.asarray(x, dtype=float)
+        kept = self.kept
+        if kept is not None and kept.x != x_out.tobytes():
+            kept = None  # taken before the last steps
         return OracleReport(
-            x_out=np.asarray(x, dtype=float),
+            x_out=x_out,
             iterations=iterations,
             data_passes=self.passes,
             full_evals=self.full,
             sample_evals=self.samples,
             recorded_stat=self.latest,
+            state=kept,
         )
 
 
@@ -335,12 +405,13 @@ def _apg_theory(L: float, sigma: float) -> int:
     return max(1, math.ceil(math.log(8.0) * math.sqrt(L / sigma)))
 
 
-def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
+def _prox_gradient(F, x0, policy, pass_cap, baseline, state, momentum: bool):
     """The prox-gradient loop at step 1/L, with APG's momentum or none.
 
     Without momentum y is x, and the gradient-norm statistic reuses the
     step's gradient at x, free; with it, statistics are taken at x and
-    paid.  Statistics are due every round(interval/n) iterations."""
+    paid.  Statistics are due every round(interval/n) iterations.  The
+    first gradient is the start's: its pieces at x0 = y."""
     who = "apg_hood" if momentum else "prox_gd_hood"
     _require_case1(F, who)
     L, sigma = F.smoothness, F.strong_convexity
@@ -359,20 +430,21 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
     free_norm = not momentum and isinstance(run.policy, PracticalGradThird)
 
     x = np.array(x0, dtype=float)
+    # the first segment is one iteration, and its check reserves a gradient
+    pieces = run.start(x, state, 0, reserve=1)
     y = x
     it = 0
-    while run.budget is None or it < run.budget:
+    while pieces is not None and (run.budget is None or it < run.budget):
         if it > _ITER_GUARD:
             raise NumericalError(f"{who} exceeded the iteration guard")
-        if not run.room_for(full=1):
-            break
         due = it > 0 and it % check_every == 0
-        if due and not free_norm and run.check(x, reserve=1):
-            break
-        z, alpha, g = F._gradient_pieces(y)
-        run.full += 1
-        if it == 0 and run.wants_input_gap:  # free: y is the input x0
-            run.baseline = F._gap(x, z, alpha, -g)
+        if it > 0:
+            if not run.room_for(full=1):
+                break
+            if due and not free_norm and run.check(x, reserve=1):
+                break
+            pieces = run.pieces(y)
+        g = pieces[2]
         # free: reuses g at y = x, adds only psi's closed-form gradient
         if due and free_norm and run.record(
                 np.linalg.norm(g + F.reg.differentiable_gradient(x))):
@@ -385,7 +457,7 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, momentum: bool):
 
 
 def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
-                 baseline=None) -> OracleReport:
+                 baseline=None, state=None) -> OracleReport:
     """Proximal gradient descent with step 1/L.
 
     TheoryBudget runs ceil(ln(4) L/sigma) iterations: each step contracts
@@ -393,11 +465,12 @@ def prox_gd_hood(F, x0, policy, *, seed=None, pass_cap=None,
     by its square on quadratics, so the gap drops by a factor >= 4 within
     the budget.  `seed` is accepted for interface uniformity and ignored.
     """
-    return _prox_gradient(F, x0, policy, pass_cap, baseline, momentum=False)
+    return _prox_gradient(F, x0, policy, pass_cap, baseline, state,
+                          momentum=False)
 
 
 def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
-             baseline=None) -> OracleReport:
+             baseline=None, state=None) -> OracleReport:
     """Accelerated proximal gradient with fixed strong-convexity momentum
     (sqrt(L) - sqrt(sigma)) / (sqrt(L) + sqrt(sigma)).
 
@@ -406,7 +479,8 @@ def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     at the extrapolated point y; statistics are evaluated at the primal
     iterate x (one extra pass each).
     """
-    return _prox_gradient(F, x0, policy, pass_cap, baseline, momentum=True)
+    return _prox_gradient(F, x0, policy, pass_cap, baseline, state,
+                          momentum=True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +488,7 @@ def apg_hood(F, x0, policy, *, seed=None, pass_cap=None,
 # ---------------------------------------------------------------------------
 
 def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
-              baseline=None) -> OracleReport:
+              baseline=None, state=None) -> OracleReport:
     """Prox-SVRG: full-gradient snapshot every m inner steps, variance
     reduced stochastic prox steps at eta = 1/L, next snapshot taken at the
     last inner iterate.
@@ -541,19 +615,12 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                 _shrink(x, taus, zeros, t, x)
             np.divide(x, scales, x)
 
-    while run.budget is None or run.samples < run.budget:
-        if run.samples > _ITER_GUARD:
-            raise NumericalError("svrg_hood exceeded the iteration guard")
-        if not run.room_for(full=1, samples=1):
-            break
-        # snapshot
-        z_tilde, d_tilde, mu = F._gradient_pieces(x)
+    snapshot = run.start(x, state, run.interval)  # the first, at x0
+    while snapshot is not None:
+        z_tilde, d_tilde, mu = snapshot
         mu_eta = mu * etas
         # the step of every draw whose c is zero, its zeros made +0.0
         mu_eta_neg = np.add(np.negative(mu_eta), zeros)
-        run.full += 1
-        if run.wants_input_gap:  # the first snapshot is at the input
-            run.baseline = F._gap(x, z_tilde, d_tilde, -mu)
         if isinstance(run.policy, PracticalGradThird) and run.record(
                 np.linalg.norm(mu + F.reg.differentiable_gradient(x))):
             break
@@ -575,6 +642,13 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
         draws = rng.integers(0, n, size=m)[:todo].tolist()
         if run.steps(draws, take, x, gap_every):
             break
+        if run.budget is not None and run.samples >= run.budget:
+            break
+        if run.samples > _ITER_GUARD:
+            raise NumericalError("svrg_hood exceeded the iteration guard")
+        if not run.room_for(full=1, samples=1):
+            break
+        snapshot = run.pieces(x)
     return run.finish(x, run.samples)
 
 
@@ -717,13 +791,14 @@ def _sdca_sweeper(F, lam, alpha, v, x):
 
 
 def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
-              baseline=None) -> OracleReport:
+              baseline=None, state=None) -> OracleReport:
     """Proximal stochastic dual coordinate ascent with exact per-coordinate
     maximization (the steepest, automatic choice).
 
-    Dual variables start at the loss derivatives of x0's margins (one pass);
-    the primal iterate is psi's conjugate maximizer at v = -(1/n) sum_i
-    alpha_i a_i, both updated on the sampled row's support only.
+    Dual variables start at the loss derivatives of x0's margins (one pass,
+    or none from a fitting `state`); the primal iterate is psi's conjugate
+    maximizer at v = -(1/n) sum_i alpha_i a_i, both updated on the sampled
+    row's support only.
     TheoryBudget allots ceil(n + L/sigma) steps per the standard SDCA epoch
     count — without a certification claim (SDCA does not satisfy HOOD).
     """
@@ -737,16 +812,15 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
     run = _Run(F, policy, pass_cap, baseline,
                max(1, math.ceil(n + F.smoothness / sigma)))
     rng = _rng(seed)
-    if run.budget == 0 or not run.room_for(full=1, samples=1):
-        return run.finish(np.array(x0, dtype=float), 0)
+    x0 = np.array(x0, dtype=float)
+    start = run.start(x0, state, run.interval)
+    if start is None:
+        return run.finish(x0, 0)
 
-    # initialize duals from x0 (one pass over the data)
-    z0 = F.margins(x0)
-    alpha = np.array(F.loss_derivs(z0, allow_subgradient=True), dtype=float)
-    run.full += 1
-    v = -data_mod.rmatvec(F.data, alpha) / n
-    if run.wants_input_gap:  # free, and before the sweep moves v
-        run.baseline = F._gap(np.asarray(x0, dtype=float), z0, alpha, v)
+    # the duals start at the loss derivatives of x0's margins; the sweep
+    # writes its own list of them and its own v = -g, so the pieces stay
+    _, alpha, g = start
+    v = -g
     x = F.reg.conjugate_argmax(v)
     sweep = _sdca_sweeper(F, 0.0 if F.smoothing is None else F.smoothing,
                           alpha.tolist(), v, x)

@@ -71,10 +71,10 @@ class BoundReport:
 
 
 def exact_oracle(F: CompositeObjective, x0, policy=None, *, seed=None,
-                 pass_cap=None, baseline=None) -> OracleReport:
+                 pass_cap=None, baseline=None, state=None) -> OracleReport:
     """Test-mode oracle: returns the reference minimizer of F regardless of
-    policy or start, for verifying the reduction analysis independently of
-    inner-solver quality."""
+    policy, start or state, for verifying the reduction analysis
+    independently of inner-solver quality."""
     return OracleReport(x_out=base_reference(F), iterations=0,
                         data_passes=0.0)
 

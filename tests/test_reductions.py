@@ -12,8 +12,8 @@ from adaptreduce import (Case, CompositeObjective, ConfigError,
                          ReductionParams, Regularizer, STAT_FLOOR, adapt_reg,
                          adapt_smooth, apg_hood, base_reference, classical_reg,
                          classical_smooth, default_params, dense_to_dataset,
-                         exact_oracle, gen_regression, joint_adapt, sdca_hood,
-                         svrg_hood)
+                         exact_oracle, gen_regression, joint_adapt,
+                         prox_gd_hood, sdca_hood, svrg_hood)
 from adaptreduce import reductions
 from helpers import quadratic_reference
 
@@ -216,12 +216,14 @@ def test_budgeted_run_stops_at_the_first_idle_epoch():
     _, records = adapt_reg(F, oracle, np.zeros(3),
                            ReductionParams(sigma0=1.0, T=20),
                            FixedIterations(10), seed=3, pass_budget=7.05)
-    # per epoch: dual init + 10 steps + final gap = 3 passes; the third
-    # epoch cannot afford its dual init and one step (1.1 passes), and no
-    # later epoch could either, so none is run
-    assert [r.passes for r in records] == [3.0, 6.0, 6.0]
-    assert len(calls) == len(records) == 3
-    np.testing.assert_array_equal(records[2].x_hat, records[1].x_hat)
+    # the first epoch: dual init + 10 steps + final gap = 3 passes; the
+    # final gap is taken at the output, so each later epoch starts its duals
+    # from its pieces at no pass: 10 steps + final gap = 2 passes.  The
+    # fourth epoch cannot afford one step (0.1 of the 0.05 passes left), and
+    # no later epoch could either, so none is run
+    assert [r.passes for r in records] == [3.0, 5.0, 7.0, 7.0]
+    assert len(calls) == len(records) == 4
+    np.testing.assert_array_equal(records[3].x_hat, records[2].x_hat)
 
 
 def test_shared_policy_gives_identical_runs():
@@ -278,6 +280,84 @@ def test_reductions_import_no_reference_code():
              for name in [node.module or ""] + [a.name for a in node.names]]
     assert "solvers" in names
     assert [name for name in names if "reference" in name] == []
+
+
+def test_reductions_pass_the_oracle_state_on_unread():
+    # the oracle stays a black box: the reduction hands each report's state
+    # to the next call as `state=` and never subscripts it or reads from it
+    tree = ast.parse(Path(reductions.__file__).read_text())
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "state"]
+    assert [ast.unparse(parent[node]) for node in reads] == [
+        "state = report.state"]
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id == "state" and isinstance(node.ctx, ast.Load)]
+    assert uses
+    for node in uses:
+        assert isinstance(parent[node], ast.keyword)
+        assert parent[node].arg == "state"
+
+
+def stateless(oracle):
+    """`oracle` with the handed-in state dropped: every call pays its start."""
+
+    def call(F_t, x, policy, *, state=None, **kwargs):
+        return oracle(F_t, x, policy, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("oracle", [sdca_hood, svrg_hood, prox_gd_hood,
+                                    apg_hood])
+def test_the_state_saves_each_reused_start_and_keeps_every_iterate(oracle):
+    # adapt_reg and classical_reg keep the data, the loss and the smoothing,
+    # and every epoch ends on a gap at its output: each epoch after the
+    # first starts from those pieces, one pass fewer, on the same floats
+    rng = np.random.default_rng(86)
+    F, *_ = least_squares(rng, n=30, d=4)
+    F = CompositeObjective(F.data, "squared", Regularizer(l1=0.01))
+    x0 = rng.normal(size=4)
+    policy = PracticalGapQuarter()
+    params = ReductionParams(sigma0=1.0, T=6)
+    runs = [(6, lambda o: adapt_reg(F, o, x0, params, policy, seed=2)[1]),
+            (None, lambda o: classical_reg(F, o, x0, 0.1, seed=2,
+                                           target_stat=1e-10)[1])]
+    for epochs, run in runs:
+        kept, paid = run(oracle), run(stateless(oracle))
+        assert len(kept) == len(paid) > 1
+        assert epochs is None or len(kept) == epochs  # T - 1 reused starts
+        for t, (a, b) in enumerate(zip(kept, paid)):
+            assert a.x_hat.tobytes() == b.x_hat.tobytes()
+            assert a.report.recorded_stat == b.report.recorded_stat
+            assert a.report.sample_evals == b.report.sample_evals
+            assert a.report.full_evals == b.report.full_evals - (t > 0)
+        reused = len(kept) - 1
+        assert (sum(r.report.full_evals for r in paid)
+                - sum(r.report.full_evals for r in kept)) == reused
+        assert kept[-1].passes == pytest.approx(paid[-1].passes - reused)
+
+
+@pytest.mark.parametrize("oracle", [sdca_hood, svrg_hood, prox_gd_hood,
+                                    apg_hood])
+def test_the_state_is_refused_where_the_smoothing_moves(oracle):
+    # adapt_smooth and joint_adapt smooth each epoch at a new lambda_t, so
+    # no state fits and every epoch pays its start
+    rng = np.random.default_rng(87)
+    F3 = svm_like(rng)
+    F4 = CompositeObjective(F3.data, "hinge", Regularizer(l1=0.05))
+    policy = PracticalGapQuarter()
+    params = ReductionParams(sigma0=1.0, lam0=0.5, T=4)
+    for reduce_fn, F in ((adapt_smooth, F3), (joint_adapt, F4)):
+        kept = reduce_fn(F, oracle, np.zeros(5), params, policy, seed=3)[1]
+        paid = reduce_fn(F, stateless(oracle), np.zeros(5), params, policy,
+                         seed=3)[1]
+        assert len(kept) == len(paid) == 4
+        for a, b in zip(kept, paid):
+            assert a.x_hat.tobytes() == b.x_hat.tobytes()
+            assert a.report.full_evals == b.report.full_evals
+            assert a.passes == b.passes
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,72 @@ def test_input_gap_is_free_and_exact():
             assert own.final_stat < 0.25 * gap
 
 
+def test_gap_policy_steps_only_when_its_first_check_fits():
+    # a gap-policy call takes a step only when its start, its first segment
+    # of steps and the check that ends it fit under the cap: ceil(40/3) = 14
+    # SDCA or SVRG steps and one gap, or one prox-gradient step, its gap and
+    # the gradient that check reserves.  A start from the state of the last
+    # call's closing gap costs no pass and meets the same rule
+    F = CompositeObjective(gen_regression(61, 40, 8, sparsity=4), "squared",
+                           Regularizer(l1=0.05)).regularize(0.1, np.zeros(8))
+    policy = PracticalGapQuarter()
+    for solver, first in ((sdca_hood, 14 / 40 + 1), (svrg_hood, 14 / 40 + 1),
+                          (prox_gd_hood, 2.0), (apg_hood, 2.0)):
+        before = solver(F, np.zeros(8), policy, seed=1)
+        assert before.state is not None
+        for x0, state, need in ((np.zeros(8), None, 1.0 + first),
+                                (before.x_out, before.state, first)):
+            short = solver(F, x0, policy, seed=2, pass_cap=need - 0.01,
+                           state=state)
+            assert short.data_passes == 0.0 and short.recorded_stat is None
+            assert short.x_out.tobytes() == x0.tobytes()
+            enough = solver(F, x0, policy, seed=2, pass_cap=need, state=state)
+            assert enough.iterations > 0 and enough.recorded_stat is not None
+            assert enough.data_passes <= need + 1e-9
+
+
+def test_state_serves_only_its_point_data_loss_and_smoothing():
+    # the last gap's pieces z, f'(z) and A^T f'(z)/n do not depend on psi:
+    # a call on another psi at the same point starts from them at no pass,
+    # with every float kept; any other point, data object, loss or
+    # smoothing refuses them, and the call is the one without a state
+    data = gen_classification(62, 40, 8)
+    F = CompositeObjective(data, "squared", Regularizer(l2=0.05)).smooth(0.1)
+    same = Dataset(data.indptr, data.indices, data.values, data.labels,
+                   data.dim)
+    policy = PracticalGapQuarter()
+    for solver in (sdca_hood, svrg_hood, prox_gd_hood, apg_hood):
+        prev = solver(F, np.zeros(8), policy, seed=1)
+        x = prev.x_out
+        cases = [(F.regularize(0.2, np.ones(8)), x, 1),
+                 (F, x + 1e-3, 0),
+                 (CompositeObjective(same, "squared", F.reg, 0.1), x, 0),
+                 (CompositeObjective(data, "hinge", F.reg, 0.1), x, 0),
+                 (CompositeObjective(data, "squared", F.reg, 0.2), x, 0),
+                 (CompositeObjective(data, "squared", F.reg), x, 0)]
+        for F_next, x0, saved in cases:
+            kept = solver(F_next, x0, policy, seed=2, state=prev.state)
+            paid = solver(F_next, x0, policy, seed=2)
+            assert kept.x_out.tobytes() == paid.x_out.tobytes()
+            assert kept.recorded_stat == paid.recorded_stat
+            assert kept.sample_evals == paid.sample_evals
+            assert kept.full_evals == paid.full_evals - saved
+
+
+def test_prox_gradient_oracles_take_no_mean_over_no_rows():
+    # an objective with no rows has f = 0 and a dual value of -psi*(0): the
+    # empty means are 0, so the gap policy's input gap warns of nothing
+    F = CompositeObjective(Dataset(np.array([0]), [], [], [], 3), "squared",
+                           Regularizer(l2=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert F.duality_gap(np.ones(3)) == 0.75
+        for solver in (prox_gd_hood, apg_hood):
+            r = solver(F, np.ones(3), PracticalGapQuarter())
+            assert np.all(np.isfinite(r.x_out))
+            assert r.recorded_stat < 0.25 * 0.75
+
+
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
