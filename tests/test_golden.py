@@ -42,7 +42,7 @@ GOLDEN = {
     "lasso-adaptreg-sdca": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="sdca", T=6, seed=3),
-        "4c864c0b56e23f90dcc5a0e5001b2e9c673c3e8d41642b24c40ccb4fd31a092a"),
+        "e63d0e5bb862c37856db6d90f114e49b3b099c45ec6f168c844b68731a858270"),
     # the budget runs out mid-run: the last epochs cannot afford a pass
     "lasso-adaptreg-svrg-budget": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
