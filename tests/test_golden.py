@@ -105,7 +105,7 @@ GOLDEN = {
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="sdca", T=6,
                                   seed=10),
-        "a78024c08efade92db079298cebe2fc3d489051d72a0f5221711f1097ebc05e9"),
+        "50dcee544c7d33248738643a51afdd9795058aae9db6b9ce485bd98bac090ba1"),
     "sparse-lasso-adaptreg-svrg": (
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="svrg", T=6,
