@@ -114,7 +114,7 @@ GOLDEN = {
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
-        "e100c36a53a06a981faeaa75db20f8c458bccd0f81db23e8fa0f9fa11c4f71cf"),
+        "77396ef7f533d584eab9eb9c5d7f65d73a045775c3de4d202391c0282170ff4a"),
     "sparse-svm-adaptsmooth-svrg": (
         "sparse-classification", dict(task="svm", l2_weight=0.05,
                                       method="adaptsmooth", oracle="svrg",
