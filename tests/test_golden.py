@@ -125,7 +125,7 @@ GOLDEN = {
     "csr-logistic-adaptreg-sdca": (
         "csr-classification", dict(task="logistic", method="adaptreg",
                                    oracle="sdca", T=4, seed=14),
-        "c3520d096edcfcc21d80f03ee96b6b16933c694ca3bc5041bbb4d8ba745a14b8"),
+        "c114617b80d87281da79314553830fb8683b87589c87f7cdb16d18af5096ae1a"),
 }
 
 
