@@ -110,7 +110,7 @@ GOLDEN = {
         "sparse-regression", dict(task="lasso", l1_weight=0.02,
                                   method="adaptreg", oracle="svrg", T=6,
                                   seed=12),
-        "a31bb6fbf9db47b3ea482287741d16bdb3c693d836f252bc055e0a8f4766e64b"),
+        "b1e1483f44048f8d39e758c2adf5443d2c61ec3743d97edb319d6a2b13aff575"),
     "sparse-logistic-adaptreg-sdca": (
         "sparse-classification", dict(task="logistic", method="adaptreg",
                                       oracle="sdca", T=4, seed=13),
