@@ -67,7 +67,7 @@ GOLDEN = {
     "lasso-adaptreg-proxgd": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="proxgd", T=6, seed=3),
-        "4cb5dddb790f5e1224e42584f839f7471d5dd77be499397a848bfc634186c11c"),
+        "7262dc6374aec29eba5c36e0d28cfb5e2f8a3c3e6e84ee4210309c83f8c48d8c"),
     "svm-adaptsmooth-proxgd": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="proxgd", T=5,
