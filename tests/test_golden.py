@@ -85,7 +85,7 @@ GOLDEN = {
     "lasso-classical-reg-apg": (
         "regression", dict(task="lasso", l1_weight=0.05,
                            method="classical-reg", oracle="apg", sigma=0.1),
-        "9ffe22d8a567fcec7dfe2eaf8b096a6ddf7d1e827b722257f69fb3e3d00d9bec"),
+        "c11255b361bf25062255eee0c46de89c14d008e50ec5781ede50709b044f7aa0"),
     "svm-classical-smooth-svrg-budget": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="classical-smooth", oracle="svrg",
