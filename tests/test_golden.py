@@ -47,7 +47,7 @@ GOLDEN = {
     "lasso-adaptreg-svrg-budget": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="svrg", T=8, seed=4, pass_budget=20.0),
-        "3a7456b115ff4a6cafae80dea3e368ae9a04ebf7603848c032290bddd66f666d"),
+        "0be0fb6a1abf8d8258d9e2aee0ce44fa8823b825ea285d4f0660195db95db0dd"),
     "svm-adaptsmooth-svrg": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="svrg", T=5,
