@@ -198,7 +198,7 @@ class OracleReport:
     sample_evals: int = 0
     recorded_stat: float | None = None  # last statistic recorded, if any
     # opaque: hand it to the next call as state= (see the module docstring)
-    state: object = field(default=None, repr=False, compare=False)
+    state: object = field(default=None, repr=False)
 
     @property
     def final_stat(self) -> float:
@@ -285,9 +285,10 @@ class _Run:
 
     def pieces(self, x):
         """(z, alpha, g) at x: the margins z = A x, alpha = f'(z) and the
-        f-part gradient g = A^T alpha / n, for one pass."""
+        f-part gradient g = A^T alpha / n, for one pass.  F is Case1, so
+        f' exists and the smoothness test before it is skipped."""
         self.full += 1
-        return self.F._gradient_pieces(x)
+        return self.F._gradient_pieces(x, allow_subgradient=True)
 
     def gap(self, x, z, alpha, g) -> float:
         """The duality gap of F at x from its pieces; they are kept, and the
