@@ -193,6 +193,31 @@ def test_logistic_sdca_coordinate_keeps_its_bits():
         "e6ce8d3abc26726079f944ab3022bf9a716430dcad84b229ec787c80dba8fc42")
 
 
+def hinge_grid():
+    """Hinge coordinate inputs over b in {+-1, +-0.5} and lam in {0, 0.1}:
+    alpha_i at both box ends (0 of either sign, -b) and inside it; z that
+    clamps s on either side, lands it inside, gives s = -0.0 by underflow
+    (q = 1e308), is +-0.0, +-inf or NaN; and q = 0, the zero row."""
+    grid = []
+    for b in (1.0, -1.0, 0.5, -0.5):
+        for lam in (0.0, 0.1):
+            for alpha_i in (0.0, -0.0, -b, -0.5 * b, -1e-3 * b):
+                for z in (-50.0, -1.5, -0.0, 0.0, 0.5, 1.0 / b,
+                          math.nextafter(1.0 / b, -math.inf),
+                          math.nextafter(1.0 / b, math.inf), 2.5, 50.0,
+                          math.inf, -math.inf, math.nan):
+                    for q in (0.0, 0.25, 3.0, 1e308):
+                        grid.append((b, lam, alpha_i, z, q))
+    return grid
+
+
+def test_hinge_sdca_coordinate_keeps_its_bits():
+    # the digest was taken while the clamp was four min/max builtin calls
+    out = np.array([_sdca_coordinate("hinge", *args) for args in hinge_grid()])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "8e9647cbbbd8a869471f9f61296eb24cbc19ee25c87fe06ba5196a2c5a512fb7")
+
+
 def test_logistic_sdca_coordinate_guard_names_its_inputs(monkeypatch):
     with pytest.raises(NumericalError, match=r"z=nan"):
         _sdca_coordinate("logistic", 1.0, 0.0, -0.5, float("nan"), 1.0)
