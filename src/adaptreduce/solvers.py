@@ -678,7 +678,12 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
         if lam + q <= 0.0:
             return -b  # zero row, unsmoothed: dual is linear, pick its argmax
         s = (z - 1.0 / b + q * alpha_i) / (lam + q)
-        return min(max(s, min(-b, 0.0)), max(-b, 0.0))
+        # s clamped into the box between -b and 0 by the comparisons that
+        # give min(max(s, lo), hi)'s float, NaN and -0.0 included (b is
+        # finite and nonzero, so one end is -b and the other 0.0)
+        if b > 0.0:
+            return -b if s < -b else (0.0 if s > 0.0 else s)
+        return 0.0 if s < 0.0 else (-b if s > -b else s)
     # logistic: in the logit t of -s/b the condition is g(t) = 0 with
     # g(t) = t - r + w sigmoid(t), g' >= 1, and its root lies in [r - w, r].
     # The bracket's ends sit one ulp outside, so a root that rounds onto one
