@@ -5,19 +5,22 @@ The brute-force functions recompute smoothing and conjugacy by direct grid
 maximization, so the closed forms in `adaptreduce.losses` and
 `adaptreduce.regularizers` can be tested against something independent;
 `ScalarLoss` is the one-term loss they take.  `quadratic_reference` gives
-exact minimizers of quadratics for solver certification, and `plain_svrg`
-is prox-SVRG by its formula, one step at a time.
+exact minimizers of quadratics for solver certification, `plain_svrg`
+is prox-SVRG by its formula, one step at a time, and
+`full_sweep_svm_reference` is the Case3 reference whose warm-up sweeps
+every row in every epoch.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from adaptreduce import (ConfigError, Regularizer, conjugate_domain,
-                         loss_conjugate, loss_deriv, loss_lipschitz,
-                         loss_smoothness, loss_value, smoothed_deriv)
+from adaptreduce import (ConfigError, NumericalError, Regularizer,
+                         conjugate_domain, loss_conjugate, loss_deriv,
+                         loss_lipschitz, loss_smoothness, loss_value,
+                         references, smoothed_deriv)
 from adaptreduce.losses import _check_kind
-from adaptreduce.solvers import _rng
+from adaptreduce.solvers import _rng, _sdca_sweeper
 
 
 @dataclass(frozen=True)
@@ -158,3 +161,23 @@ def plain_svrg(F, x0, steps: int, seed):
             x = F.reg.prox(x - (c * a + mu) * eta, eta)
             taken.append((i, c))
     return x, taken
+
+
+def full_sweep_svm_reference(F, tol=1e-12):
+    """The Case3 (hinge, l2) reference as exact dual coordinate ascent that
+    steps on every row in every epoch's fixed-seed order, polished and
+    certified as `references._svm_reference` does; no row is skipped."""
+    alpha = [0.0] * F.n
+    v = np.zeros(F.dim)
+    x = F.reg.conjugate_argmax(v)
+    sweep = _sdca_sweeper(F, 0.0, alpha, v, x)
+    rng = np.random.default_rng(references._DCA_SEED)
+    last = ["no epoch ran"]
+    for epoch in range(1, references._DCA_EPOCH_CAP + 1):
+        sweep(rng.permutation(F.n).tolist())
+        if epoch % references._DCA_POLISH_EVERY == 0:
+            polished = references._try_polish(F, x, last)
+            if polished is not None:
+                references._check_hinge_gap(F, *polished, tol)
+                return polished[0]
+    raise NumericalError(f"hinge reference polish failed: {last[0]}")

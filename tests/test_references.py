@@ -15,7 +15,7 @@ from adaptreduce import (CompositeObjective, Dataset, ExperimentConfig,
 from adaptreduce import data as data_mod
 from adaptreduce import harness, references, solvers
 from adaptreduce.cli import main
-from helpers import quadratic_reference
+from helpers import full_sweep_svm_reference, quadratic_reference
 from test_golden import DATA as GOLDEN_DATA, sparsify
 
 
@@ -167,7 +167,8 @@ def test_base_reference_cache_identity():
 
 def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
     # the golden svm objective: Case3 is warmed up without apg_hood, by
-    # whole epochs of coordinate steps, polished every _DCA_POLISH_EVERY
+    # epochs of coordinate steps, polished every _DCA_POLISH_EVERY; an epoch
+    # skips the rows whose step is a no-op, so it takes fewer than n steps
     def refuse(*args, **kwargs):
         raise AssertionError("the Case3 warm-up called apg_hood")
 
@@ -175,10 +176,48 @@ def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
                            Regularizer(l2=0.05))
     monkeypatch.setattr(references, "apg_hood", refuse)
     steps = count_calls(monkeypatch, "_sdca_coordinate", solvers)
+    epochs, polished_at = [], []
+    real_sweeper, real_polish = references._sdca_sweeper, references._try_polish
+
+    def sweeper(*args):
+        sweep = real_sweeper(*args)
+
+        def counted(indices):
+            epochs.append(1)
+            sweep(indices)
+        return counted
+
+    def polish(*args):
+        polished_at.append((len(epochs), len(steps)))
+        return real_polish(*args)
+
+    monkeypatch.setattr(references, "_sdca_sweeper", sweeper)
+    monkeypatch.setattr(references, "_try_polish", polish)
     x = base_reference(F)
-    assert len(steps) > 0
-    assert len(steps) % (references._DCA_POLISH_EVERY * F.n) == 0
+    assert len(steps) > 0 and polished_at
+    assert all(e % references._DCA_POLISH_EVERY == 0 for e, _ in polished_at)
+    assert len(steps) == polished_at[-1][1] < polished_at[-1][0] * F.n
     assert F.full_value(x) == pytest.approx(0.15515605176761818, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, l2", [
+    *[("readme", l2) for l2 in (1.0, 1e-2, 1e-3)],
+    *[(name, 0.05) for name in
+      ("classification", "sparse-classification", "csr-classification")]])
+def test_svm_reference_skips_no_op_rows_and_keeps_its_bits(monkeypatch, name,
+                                                           l2):
+    # a row whose dual sits on the bound its margin pushes it to is skipped
+    # for the epoch; the polish reads only the margin sets, so the reference
+    # is the full sweep's, byte for byte, from fewer coordinate steps
+    data = (gen_classification(7, 500, 100) if name == "readme"
+            else GOLDEN_DATA[name]())
+    F = CompositeObjective(data, "hinge", Regularizer(l2=l2))
+    steps = count_calls(monkeypatch, "_sdca_coordinate", solvers)
+    full = full_sweep_svm_reference(F)
+    swept = len(steps)
+    x = base_reference(F)
+    assert x.tobytes() == full.tobytes()
+    assert 0 < len(steps) - swept < swept
 
 
 def test_l1svm_warmup_runs_apg_hood_until_the_polish_certifies(monkeypatch):
