@@ -177,7 +177,8 @@ def test_svm_warmup_is_dual_coordinate_ascent(monkeypatch):
     monkeypatch.setattr(references, "apg_hood", refuse)
     steps = count_calls(monkeypatch, "_sdca_coordinate", solvers)
     epochs, polished_at = [], []
-    real_sweeper, real_polish = references._sdca_sweeper, references._try_polish
+    real_sweeper = references._sdca_sweeper
+    real_polish = references._try_polish
 
     def sweeper(*args):
         sweep = real_sweeper(*args)
