@@ -44,10 +44,13 @@ Each oracle keeps its books in one `_Run`, which holds the contract:
   `reserve` more would not fit under the cap; a free statistic (a gradient
   norm where the gradient is in hand) is recorded unpaid;
 - `todo(most)` says how many stochastic steps, at most `most`, the budget
-  and the cap leave, and `steps(draws, take, x, interval)` hands the draws
-  to the step body `take` in segments ending at each check due every
-  `interval` steps (counted across calls); a check costs a pass, so the
-  draws left after it shrink to the room it leaves;
+  and the cap leave, and `steps(draws, take, x, interval, between)` hands
+  the draws to the step body `take` in segments ending at each check due
+  every `interval` steps (counted across calls); a check costs a pass, so
+  the draws left after it shrink to the room it leaves.  Under the gap
+  policy every segment is held to the start's rule (`segment_fits`): it
+  runs only when it and the check that ends it fit, so a gap-policy run
+  always ends on a check, and its last recorded gap is x_out's;
 - `finish(x, iterations, use_gap)` returns the report, after a budgeted run
   that took a step pays for its closing statistic (the duality gap or the
   gradient norm) if it fits under the cap.
@@ -56,8 +59,9 @@ Pass accounting: one full-gradient or statistic evaluation costs one pass
 over the data; one stochastic step costs 1/n.  A gradient-norm statistic
 evaluated at a point whose full gradient was just computed (SVRG snapshots,
 prox-GD iterates) is free, and so is a start whose pieces are handed in as
-`state`.  Counts are kept as integers (full passes and sample steps) so
-totals are exact.
+`state`, and prox-GD's gradient at the point its gap check just took.
+Counts are kept as integers (full passes and sample steps) so totals are
+exact.
 
 The SVRG and SDCA step loops run once per sample in Python, so they work on
 lists, row views and d-float buffers made once per call and write x, v and
@@ -226,6 +230,10 @@ class _GapPieces:
         return (self.data is F.data and self.loss == F.loss
                 and self.smoothing == F.smoothing and self.x == x.tobytes())
 
+    @property
+    def parts(self):
+        return self.z, self.alpha, self.g
+
 
 class _Run:
     """Bookkeeping for one oracle call: the step budget, pass counters, the
@@ -241,6 +249,7 @@ class _Run:
         self.F = F
         self.n = max(F.n, 1)
         self.policy = policy if isinstance(policy, _PRACTICAL) else None
+        self.gap_policy = isinstance(policy, PracticalGapQuarter)
         self.baseline = baseline if self.policy else None
         if isinstance(policy, TheoryBudget):
             self.budget = theory
@@ -308,16 +317,22 @@ class _Run:
         no check has judged.  The gap policy without a baseline takes the
         gap at x from the pieces as its baseline."""
         free = state is not None and state.fits(self.F, x)
-        gap_policy = isinstance(self.policy, PracticalGapQuarter)
         full, samples = (0 if free else 1), min(first, 1)
-        if gap_policy:
+        if self.gap_policy:
             full, samples = full + 1 + reserve, first
         if self.budget == 0 or not self.room_for(full=full, samples=samples):
             return None
-        pieces = (state.z, state.alpha, state.g) if free else self.pieces(x)
-        if gap_policy and self.baseline is None:
+        pieces = state.parts if free else self.pieces(x)
+        if self.gap_policy and self.baseline is None:
             self.baseline = self.gap(x, *pieces)
         return pieces
+
+    def segment_fits(self, full=0) -> bool:
+        """Under the gap policy, whether the steps left to the next check,
+        that check and `full` more passes fit under the cap, so that no
+        step goes unjudged; always True under any other policy."""
+        return not self.gap_policy or self.room_for(
+            full=1 + full, samples=self.interval - self.since)
 
     def stat(self, x, use_gap: bool) -> float:
         """The duality gap or the gradient norm at x, for one pass."""
@@ -332,8 +347,7 @@ class _Run:
         not fit under the cap."""
         if not self.room_for(full=1 + reserve):
             return True
-        return self.record(
-            self.stat(x, isinstance(self.policy, PracticalGapQuarter)))
+        return self.record(self.stat(x, self.gap_policy))
 
     def todo(self, most: int) -> int:
         """How many more stochastic steps, at most `most`, the budget and
@@ -343,13 +357,19 @@ class _Run:
             todo = min(todo, self.budget - self.samples)
         return todo
 
-    def steps(self, draws: list, take, x, interval: int) -> bool:
+    def steps(self, draws: list, take, x, interval: int,
+              between: int = 0) -> bool:
         """Hand the draws to `take` in segments ending at each check due
         every `interval` steps, checking the statistic at x, which `take`
         moves; after a check the draws left shrink to the room it leaves.
-        True means a check said stop."""
+        Under the gap policy a segment runs only when it and its check fit,
+        with `between` passes more when it goes on past these draws (the
+        caller's pay before its next draws).  True means stop: a check said
+        so, or a segment did not fit."""
         while draws:
             cut = interval - self.since
+            if not self.segment_fits(between if cut > len(draws) else 0):
+                return True
             segment, draws = draws[:cut], draws[cut:]
             take(segment)
             self.samples += len(segment)
@@ -410,9 +430,10 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, state, momentum: bool):
     """The prox-gradient loop at step 1/L, with APG's momentum or none.
 
     Without momentum y is x, and the gradient-norm statistic reuses the
-    step's gradient at x, free; with it, statistics are taken at x and
-    paid.  Statistics are due every round(interval/n) iterations.  The
-    first gradient is the start's: its pieces at x0 = y."""
+    step's gradient at x, free, as the next gradient reuses the gap check's
+    pieces at x, free; with it, statistics are taken at x and paid.
+    Statistics are due every round(interval/n) iterations.  The first
+    gradient is the start's: its pieces at x0 = y."""
     who = "apg_hood" if momentum else "prox_gd_hood"
     _require_case1(F, who)
     L, sigma = F.smoothness, F.strong_convexity
@@ -431,7 +452,8 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, state, momentum: bool):
     free_norm = not momentum and isinstance(run.policy, PracticalGradThird)
 
     x = np.array(x0, dtype=float)
-    # the first segment is one iteration, and its check reserves a gradient
+    # the first segment is one iteration; it, its check and a pass more
+    # must fit
     pieces = run.start(x, state, 0, reserve=1)
     y = x
     it = 0
@@ -440,11 +462,17 @@ def _prox_gradient(F, x0, policy, pass_cap, baseline, state, momentum: bool):
             raise NumericalError(f"{who} exceeded the iteration guard")
         due = it > 0 and it % check_every == 0
         if it > 0:
-            if not run.room_for(full=1):
+            # a gap check was reserved by the one before it, and the run
+            # steps on from it only if the next gradient and the next check
+            # fit; the gradient is free at y = x, from the check's pieces.
+            # A paid gradient-norm check reserves the next gradient
+            gap = run.gap_policy
+            if due and not free_norm and run.check(x, reserve=0 if gap else 1):
                 break
-            if due and not free_norm and run.check(x, reserve=1):
+            reuse = gap and y is x
+            if not run.room_for(full=(0 if reuse else 1) + (1 if gap else 0)):
                 break
-            pieces = run.pieces(y)
+            pieces = run.kept.parts if reuse else run.pieces(y)
         g = pieces[2]
         # free: reuses g at y = x, adds only psi's closed-form gradient
         if due and free_norm and run.record(
@@ -560,8 +588,7 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
     run = _Run(F, policy, pass_cap, baseline, m)
     if not isinstance(policy, TheoryBudget):
         m = 2 * n
-    gap_every = (run.interval if isinstance(run.policy, PracticalGapQuarter)
-                 else _NEVER)
+    gap_every = run.interval if run.gap_policy else _NEVER
     rng = _rng(seed)
 
     rows = F.data.step_rows()
@@ -641,13 +668,14 @@ def svrg_hood(F, x0, policy, *, seed=None, pass_cap=None,
                                        + fixed) + 2.0 * _TINY) * (1.0 + g)
         D = 0.0
         draws = rng.integers(0, n, size=m)[:todo].tolist()
-        if run.steps(draws, take, x, gap_every):
+        # a segment that runs past these draws pays for the next snapshot
+        if run.steps(draws, take, x, gap_every, between=1):
             break
         if run.budget is not None and run.samples >= run.budget:
             break
         if run.samples > _ITER_GUARD:
             raise NumericalError("svrg_hood exceeded the iteration guard")
-        if not run.room_for(full=1, samples=1):
+        if not run.room_for(full=1, samples=1) or not run.segment_fits(1):
             break
         snapshot = run.pieces(x)
     return run.finish(x, run.samples)

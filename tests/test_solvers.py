@@ -238,8 +238,14 @@ def test_sdca_practical_policies_keep_the_pass_cap():
                         (PracticalGapQuarter(), 20.0)):
         r = sdca_hood(F, np.zeros(8), policy, seed=0, pass_cap=cap,
                       baseline=1e-12)
-        assert r.data_passes == pytest.approx(cap, abs=1e-9)
         assert r.data_passes <= cap + 1e-9
+        if isinstance(policy, PracticalGradThird):
+            assert r.data_passes == pytest.approx(cap, abs=1e-9)
+        else:
+            # the gap policy stops on its check when the next ceil(40/3) =
+            # 14 steps and the check that would judge them do not fit
+            assert r.recorded_stat == F.duality_gap(r.x_out)
+            assert r.data_passes + 14 / 40 + 1.0 > cap + 1e-9
 
 
 def test_svrg_practical_policies_keep_the_pass_cap():
@@ -309,6 +315,36 @@ def test_gap_policy_steps_only_when_its_first_check_fits():
             enough = solver(F, x0, policy, seed=2, pass_cap=need, state=state)
             assert enough.iterations > 0 and enough.recorded_stat is not None
             assert enough.data_passes <= need + 1e-9
+
+
+def test_gap_policy_never_ends_on_unjudged_steps():
+    # after a check a gap-policy call steps on only when the next segment
+    # and the check that ends it fit under the cap, so its last recorded gap
+    # is x_out's wherever the cap falls.  prox-GD at cap 3 once took a
+    # second iteration on the pass its first check reserved and recorded
+    # the gap before it
+    F = CompositeObjective(gen_regression(61, 40, 8, sparsity=4), "squared",
+                           Regularizer(l1=0.05)).regularize(0.1, np.zeros(8))
+    policy = PracticalGapQuarter()
+    r = prox_gd_hood(F, np.zeros(8), policy, pass_cap=3.0)
+    assert r.iterations == 2 and r.data_passes == 3.0
+    assert r.recorded_stat == F.duality_gap(r.x_out)
+    for solver in (sdca_hood, svrg_hood, prox_gd_hood, apg_hood):
+        for cap in (3.0, 3.7, 4.4, 5.2, 6.9, 9.5, 12.0):
+            r = solver(F, np.zeros(8), policy, seed=3, pass_cap=cap,
+                       baseline=1e-12)
+            assert r.iterations > 0 and r.data_passes <= cap + 1e-9
+            assert r.recorded_stat == F.duality_gap(r.x_out), (solver, cap)
+    # nor does SVRG pay for a snapshot that no segment and check can follow:
+    # at n = 42 a snapshot's 84 steps are 6 segments of 14, so the 6th check,
+    # at 9 passes, falls where the next snapshot is due
+    F = CompositeObjective(gen_regression(61, 42, 8, sparsity=4), "squared",
+                           Regularizer(l1=0.05)).regularize(0.1, np.zeros(8))
+    for cap, spent in ((10.5, 9.0), (11.4, 9.0 + 1.0 + 14 / 42 + 1.0)):
+        r = svrg_hood(F, np.zeros(8), policy, seed=3, pass_cap=cap,
+                      baseline=1e-12)
+        assert r.data_passes == pytest.approx(spent, abs=1e-12)
+        assert r.recorded_stat == F.duality_gap(r.x_out)
 
 
 def test_state_serves_only_its_point_data_loss_and_smoothing():
@@ -387,9 +423,10 @@ def test_practical_gap_quarter_stops_on_quarter():
     assert r.final_stat < 0.25 * start
     before = prox_gd_hood(F, np.ones(5), FixedIterations(r.iterations - 1))
     assert F.duality_gap(before.x_out) >= 0.25 * start  # the first such point
-    # each check cost one pass on top of the gradients; the input gap came
-    # free with the first gradient
-    assert r.full_evals == 2 * r.iterations
+    # each check cost one pass, and the gradient after it came free from
+    # the check's pieces at y = x; the input gap came free with the first
+    # gradient, which is the one paid gradient
+    assert r.full_evals == r.iterations + 1
     assert r.data_passes == r.full_evals
 
 
