@@ -67,7 +67,7 @@ GOLDEN = {
     "lasso-adaptreg-proxgd": (
         "regression", dict(task="lasso", l1_weight=0.05, method="adaptreg",
                            oracle="proxgd", T=6, seed=3),
-        "7262dc6374aec29eba5c36e0d28cfb5e2f8a3c3e6e84ee4210309c83f8c48d8c"),
+        "e6b7af2948502e71fb1ae45f0c302959a35ee85e5b7459629cd85c25fe27d03e"),
     "svm-adaptsmooth-proxgd": (
         "classification", dict(task="svm", l2_weight=0.05,
                                method="adaptsmooth", oracle="proxgd", T=5,
