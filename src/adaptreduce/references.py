@@ -243,12 +243,13 @@ def _svm_reference(F, tol) -> np.ndarray:
     (Hsieh et al. 2008, section 3, shrink the same bounded duals).  Row i
     is skipped when alpha_i = 0 with m_i > 1, or alpha_i = -b_i with
     m_i < 1: the exact hinge step at that x clamps alpha_i back onto the
-    bound it sits on (a row with b_i = 0 stays at 0).  Only rounding in the
-    last bits of a margin within an ulp of 1 could make such a step move
-    alpha_i, by about that rounding.  Every row is decided again each
-    epoch, so none is skipped for good.  The polish reads the warm point
-    only through its margin sets, so where those match the full sweep's
-    the reference has every bit of the full sweep's."""
+    bound it sits on (a row with b_i = 0 stays at 0).  The margins come
+    from one matvec and a step's from the row's dot product, which may
+    differ in the last bits, so only a margin within that rounding of 1
+    could still move alpha_i, by about that rounding.  Every row is decided
+    again each epoch, so none is skipped for good.  The polish reads the
+    warm point only through its margin sets, so where those match the full
+    sweep's the reference has every bit of the full sweep's."""
     A, b, n, _ = _parts(F)
     alpha = [0.0] * n
     v = np.zeros(F.dim)
