@@ -264,6 +264,25 @@ def test_reference_cache_key_sensitivity():
     assert k != reference_cache_key(data, "lasso", 0.1, 0.0, True)
 
 
+def test_reference_cache_key_and_content_hash_keep_their_digests():
+    # the on-disk reference cache is named by these digests, so a new way
+    # of computing them must give every one the value it had; taken in
+    # both orders, so neither digest depends on which hashes the data first
+    data = gen_regression(5, 10, 4, sparsity=2)
+    F = CompositeObjective(data, "squared", Regularizer(l1=0.1))
+    G = F.regularize(0.25, np.arange(4.0))
+    key = "85e542e000c7ab85b833b78b6cd4a998db689f96bdc8486e4a6d822748c7f96a"
+    f_hash = "9f3493f6a93fafa1acf847eedd04a25805c509d6c66356892291d38885c9491a"
+    g_hash = "54146a4f318cfeebe4b96979498d702e54c2d088679de3a0fbde05aea1c63e77"
+    assert reference_cache_key(data, "lasso", 0.1, 0.0, False) == key
+    assert (F.content_hash(), G.content_hash()) == (f_hash, g_hash)
+    assert reference_cache_key(data, "lasso", 0.1, 0.0, False) == key
+    fresh = gen_regression(5, 10, 4, sparsity=2)
+    assert CompositeObjective(fresh, "squared", Regularizer(l1=0.1)).regularize(
+        0.25, np.arange(4.0)).content_hash() == g_hash
+    assert reference_cache_key(fresh, "lasso", 0.1, 0.0, False) == key
+
+
 def test_cached_reference_disk_precedence(tmp_path):
     data = gen_regression(6, 12, 3, sparsity=2)
     F = CompositeObjective(data, "squared", Regularizer(l2=0.5))
