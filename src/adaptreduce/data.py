@@ -11,6 +11,7 @@ array, or a `CsrMatrix` over the backing arrays when fewer than
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -55,6 +56,7 @@ class Dataset:
     _dense_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _csr_cache: CsrMatrix | None = field(default=None, repr=False, compare=False)
     _step_rows_cache: list | None = field(default=None, repr=False, compare=False)
+    _sha256_cache: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -151,6 +153,14 @@ class Dataset:
             self.values.tobytes(), self.labels.tobytes(),
             np.int64(self.dim).tobytes(),
         ))
+
+    def content_sha256(self):
+        """A new SHA-256 object that has consumed `content_bytes()`, for the
+        caller to add its own fields to.  The data are hashed once: the
+        object is cached, and each call returns a copy of it."""
+        if self._sha256_cache is None:
+            self._sha256_cache = hashlib.sha256(self.content_bytes())
+        return self._sha256_cache.copy()
 
 
 def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:

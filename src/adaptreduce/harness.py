@@ -15,7 +15,6 @@ produces byte-identical files.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import tempfile
@@ -209,8 +208,7 @@ def _check_compatibility(config: ExperimentConfig, F: CompositeObjective) -> Non
 
 def reference_cache_key(data: Dataset, task: str, l1_weight: float,
                         l2_weight: float, normalize: bool) -> str:
-    h = hashlib.sha256()
-    h.update(data.content_bytes())
+    h = data.content_sha256()
     h.update(task.encode())
     h.update(repr((float(l1_weight), float(l2_weight))).encode())
     h.update(b"normalized" if normalize else b"raw")

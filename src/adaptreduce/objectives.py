@@ -14,7 +14,6 @@ where sigma is psi's strong convexity and L the reported smoothness of f.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -221,8 +220,7 @@ class CompositeObjective:
 
     # -- identity --------------------------------------------------------
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.data.content_bytes())
+        h = self.data.content_sha256()
         h.update(self.loss.encode())
         r = self.reg
         center = b"" if r.shift_center is None else np.asarray(r.shift_center).tobytes()

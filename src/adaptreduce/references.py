@@ -31,6 +31,10 @@ in-process reference cache, for every class (`harness` keeps the disk one).
   epoch the margin/support polish is tried, and the first certified point
   is the reference.
 
+Within one solve the hinge polish runs at most once on each margin/support
+partition (`_try_polish`): it reads its warm point only through that
+partition, so a partition that failed would fail again.
+
 The data matrix comes from `Dataset.matrix()`: the dense array, on which
 every expression here is plain numpy, or a `data.CsrMatrix` on sparse data,
 which supports the same expressions and forms `data.gram` from the stored
@@ -220,9 +224,10 @@ def _hinge_reference(F, tol) -> np.ndarray:
         F.smooth(lam_t).regularize(sigma_t, origin))
     found = []
     last = ["no epoch ran"]
+    failed = {}
 
     def certified(report) -> bool:
-        polished = _try_polish(F, report.x_out, last)
+        polished = _try_polish(F, report.x_out, last, failed)
         if polished is not None:
             found.append(polished[0])
         return polished is not None
@@ -257,6 +262,7 @@ def _svm_reference(F, tol) -> np.ndarray:
     sweep = _sdca_sweeper(F, 0.0, alpha, v, x)
     rng = np.random.default_rng(_DCA_SEED)
     last = ["no epoch ran"]
+    failed = {}
     live = np.ones(n, dtype=bool)  # the rows whose step can move alpha_i
     for epoch in range(1, _DCA_EPOCH_CAP + 1):
         order = rng.permutation(n)
@@ -266,23 +272,34 @@ def _svm_reference(F, tol) -> np.ndarray:
         live = ~(((a == 0.0) & (m > 1.0)) | ((a == -b) & (m < 1.0)))
         if epoch % _DCA_POLISH_EVERY:
             continue
-        polished = _try_polish(F, x, last)
+        polished = _try_polish(F, x, last, failed)
         if polished is not None:
             _check_hinge_gap(F, *polished, tol)
             return polished[0]
     raise NumericalError(f"hinge reference polish failed: {last[0]}")
 
 
-def _try_polish(F, x_warm, last: list):
+def _try_polish(F, x_warm, last: list, failed: dict):
     """`_polish_hinge` at each of _MARGIN_TOLS in turn: the first (point,
     multipliers) it certifies, or None, with the last failure's message in
     last[0] (the message only: a kept error's traceback holds the polish's
-    arrays alive)."""
+    arrays alive).
+
+    `failed` is one solve's memo of failed polishes, each message under the
+    packed bits of its margin sets (`_margin_sets`).  The polish reads its
+    warm point only through those sets, so a tolerance whose sets failed
+    before would fail again with the same message, and is skipped."""
+    m = F.data.labels * (F.data.matrix() @ x_warm)
     for margin_tol in _MARGIN_TOLS:
+        viol, marg, S, sgn = _margin_sets(F, x_warm, m, margin_tol)
+        key = np.packbits(np.concatenate((viol, marg, S, sgn > 0))).tobytes()
+        if key in failed:
+            last[0] = failed[key]
+            continue
         try:
             return _polish_hinge(F, x_warm, margin_tol)
         except NumericalError as err:
-            last[0] = str(err)
+            last[0] = failed[key] = str(err)
     return None
 
 
@@ -294,6 +311,22 @@ def _check_hinge_gap(F, x, tau, tol) -> float:
         raise NumericalError(
             f"hinge reference duality gap {gap:.3g} exceeds tol {tol:g}")
     return gap
+
+
+def _margin_sets(F, x_warm, m, margin_tol):
+    """All that `_polish_hinge` reads of its warm point x_warm, whose
+    margins are m = b (A x_warm): the violated and the margin rows at
+    margin_tol, and the support S with its signs (every coordinate, with
+    signs 0, without an l1 term)."""
+    viol = m < 1.0 - margin_tol
+    marg = np.abs(m - 1.0) <= margin_tol
+    if F.reg.l1 > 0.0:
+        S = np.abs(x_warm) > 1e-7
+        sgn = np.sign(x_warm[S])
+    else:
+        S = np.ones(F.dim, dtype=bool)
+        sgn = np.zeros(F.dim)
+    return viol, marg, S, sgn
 
 
 def _polish_hinge(F, x_warm, margin_tol) -> tuple[np.ndarray, np.ndarray]:
@@ -308,16 +341,8 @@ def _polish_hinge(F, x_warm, margin_tol) -> tuple[np.ndarray, np.ndarray]:
     sw = reg.shift_weight
     c = reg.shift_center if sw > 0.0 else np.zeros(d)
 
-    m = b * (A @ x_warm)
-    viol = m < 1.0 - margin_tol
-    marg = np.abs(m - 1.0) <= margin_tol
+    viol, marg, S, sgn = _margin_sets(F, x_warm, b * (A @ x_warm), margin_tol)
     M = np.where(marg)[0]
-    if w > 0.0:
-        S = np.abs(x_warm) > 1e-7
-        sgn = np.sign(x_warm[S])
-    else:
-        S = np.ones(d, dtype=bool)
-        sgn = np.zeros(int(S.sum()))
     k = int(S.sum())
     mcount = len(M)
     g0 = -(A[viol].T @ b[viol]) / n

@@ -166,18 +166,25 @@ def plain_svrg(F, x0, steps: int, seed):
 def full_sweep_svm_reference(F, tol=1e-12):
     """The Case3 (hinge, l2) reference as exact dual coordinate ascent that
     steps on every row in every epoch's fixed-seed order, polished and
-    certified as `references._svm_reference` does; no row is skipped."""
+    certified as `references._svm_reference` does; no row is skipped, and
+    every polish attempt tries every margin tolerance, with no memo of the
+    margin sets that failed before."""
     alpha = [0.0] * F.n
     v = np.zeros(F.dim)
     x = F.reg.conjugate_argmax(v)
     sweep = _sdca_sweeper(F, 0.0, alpha, v, x)
     rng = np.random.default_rng(references._DCA_SEED)
-    last = ["no epoch ran"]
+    last = "no epoch ran"
     for epoch in range(1, references._DCA_EPOCH_CAP + 1):
         sweep(rng.permutation(F.n).tolist())
-        if epoch % references._DCA_POLISH_EVERY == 0:
-            polished = references._try_polish(F, x, last)
-            if polished is not None:
-                references._check_hinge_gap(F, *polished, tol)
-                return polished[0]
-    raise NumericalError(f"hinge reference polish failed: {last[0]}")
+        if epoch % references._DCA_POLISH_EVERY:
+            continue
+        for margin_tol in references._MARGIN_TOLS:
+            try:
+                polished = references._polish_hinge(F, x, margin_tol)
+            except NumericalError as err:
+                last = str(err)
+                continue
+            references._check_hinge_gap(F, *polished, tol)
+            return polished[0]
+    raise NumericalError(f"hinge reference polish failed: {last}")
