@@ -157,7 +157,8 @@ class Dataset:
     def content_sha256(self):
         """A new SHA-256 object that has consumed `content_bytes()`, for the
         caller to add its own fields to.  The data are hashed once: the
-        object is cached, and each call returns a copy of it."""
+        object is cached like the other derived arrays, and each call
+        returns a copy of it."""
         if self._sha256_cache is None:
             self._sha256_cache = hashlib.sha256(self.content_bytes())
         return self._sha256_cache.copy()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adaptreduce import (CSV_HEADER, CompositeObjective, ConfigError,
-                         ConvergenceTrace, DataError, ExperimentConfig,
+                         ConvergenceTrace, DataError, Dataset, ExperimentConfig,
                          Regularizer, TraceRow, build_objective,
                          dense_to_dataset, gen_classification, gen_regression,
                          parse_config_file, parse_trace_csv, run_experiment,
@@ -264,10 +264,15 @@ def test_reference_cache_key_sensitivity():
     assert k != reference_cache_key(data, "lasso", 0.1, 0.0, True)
 
 
-def test_reference_cache_key_and_content_hash_keep_their_digests():
+def test_reference_cache_key_and_content_hash_keep_their_digests(monkeypatch):
     # the on-disk reference cache is named by these digests, so a new way
     # of computing them must give every one the value it had; taken in
-    # both orders, so neither digest depends on which hashes the data first
+    # both orders, so neither digest depends on which hashes the data first,
+    # and each dataset is serialized for hashing once
+    serialized = []
+    content_bytes = Dataset.content_bytes
+    monkeypatch.setattr(Dataset, "content_bytes",
+                        lambda ds: serialized.append(ds) or content_bytes(ds))
     data = gen_regression(5, 10, 4, sparsity=2)
     F = CompositeObjective(data, "squared", Regularizer(l1=0.1))
     G = F.regularize(0.25, np.arange(4.0))
@@ -281,6 +286,8 @@ def test_reference_cache_key_and_content_hash_keep_their_digests():
     assert CompositeObjective(fresh, "squared", Regularizer(l1=0.1)).regularize(
         0.25, np.arange(4.0)).content_hash() == g_hash
     assert reference_cache_key(fresh, "lasso", 0.1, 0.0, False) == key
+    assert len(serialized) == 2
+    assert serialized[0] is data and serialized[1] is fresh
 
 
 def test_cached_reference_disk_precedence(tmp_path):

@@ -5,6 +5,8 @@ against the objective definition: closed forms for quadratics, KKT conditions
 recomputed from scratch for l1 supports and hinge margins, and a primal-dual
 sandwich (projected dual ascent in plain numpy) for the SVM family.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -221,15 +223,110 @@ def test_svm_reference_skips_no_op_rows_and_keeps_its_bits(monkeypatch, name,
     assert 0 < len(steps) - swept < swept
 
 
+def partition(F, x_warm, margin_tol):
+    # what the hinge polish reads off its warm point, recomputed here: the
+    # violated and margin rows, and with an l1 term the support and signs
+    m = F.data.labels * (F.data.dense() @ x_warm)
+    sets = [m < 1.0 - margin_tol, np.abs(m - 1.0) <= margin_tol]
+    if F.reg.l1 > 0.0:
+        S = np.abs(x_warm) > 1e-7
+        sets += [S, np.sign(x_warm[S])]
+    return tuple(mask.tobytes() for mask in sets)
+
+
+def count_partitions(monkeypatch):
+    # wrap references._polish_hinge with a list of the partition each call
+    # reads off its warm point
+    partitions = []
+    real = references._polish_hinge
+
+    def counted(F, x_warm, margin_tol):
+        partitions.append(partition(F, x_warm, margin_tol))
+        return real(F, x_warm, margin_tol)
+
+    monkeypatch.setattr(references, "_polish_hinge", counted)
+    return partitions
+
+
+def test_svm_reference_polishes_each_partition_once(monkeypatch):
+    # the svm-dense benchmark's objective before its column presentation:
+    # polishing every tolerance of every attempt took 25 calls on the 12
+    # partitions the warm points show
+    F = CompositeObjective(gen_classification(7, 500, 100), "hinge",
+                           Regularizer(l2=1.0))
+    partitions = count_partitions(monkeypatch)
+    monkeypatch.setattr(references, "_BASE_CACHE", {})
+    base_reference(F)
+    assert len(partitions) == len(set(partitions)) == 12
+
+
+@pytest.mark.parametrize("reg", [Regularizer(l2=0.05), Regularizer(l1=0.05)])
+def test_hinge_polish_reads_its_warm_point_only_through_its_partition(reg):
+    # the premise of _try_polish's memo: warm points whose margin sets, and
+    # l1 support with its signs, are equal give the same polished bytes or
+    # the same error, although the points differ in every coordinate
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge", reg)
+    x_hat = base_reference(F)
+    rng = np.random.default_rng(99)
+    margin_tol = references._MARGIN_TOLS[0]
+    outcomes = []
+    for warm in (x_hat, 0.9 * x_hat):
+        twin = warm * (1.0 + 1e-10 * rng.normal(size=F.dim))
+        twin[warm == 0.0] = 5e-8 * rng.choice([-1.0, 1.0], F.dim)[warm == 0.0]
+        assert np.all(twin != warm)
+        assert partition(F, twin, margin_tol) == partition(F, warm, margin_tol)
+        results = []
+        for w in (warm, twin):
+            try:
+                x, tau = references._polish_hinge(F, w, margin_tol)
+                results.append(x.tobytes() + tau.tobytes())
+            except NumericalError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+        outcomes.append(results[0])
+    assert outcomes[0][:x_hat.nbytes] == x_hat.tobytes()
+    assert outcomes[1] == ("hinge polish: margin classification changed"
+                           if reg.l1 == 0.0 else
+                           "hinge polish system singular: Singular matrix")
+
+
+def test_polish_memo_keys_the_l1_support_and_its_signs(monkeypatch):
+    # warm points with the golden l1svm reference's margin sets, but with
+    # one more support coordinate of either sign, fail on partitions of
+    # their own; the reference's own partition is polished after them
+    F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
+                           Regularizer(l1=0.05))
+    x_hat = base_reference(F)
+    partitions = count_partitions(monkeypatch)
+    failed, last, polished = {}, [None], []
+    j = int(np.argmax(x_hat == 0.0))
+    for value in (2e-7, -2e-7):
+        warm = x_hat.copy()
+        warm[j] = value
+        assert all(partition(F, warm, tol)[:2] == partition(F, x_hat, tol)[:2]
+                   for tol in references._MARGIN_TOLS)
+        assert references._try_polish(F, warm, last, failed) is None
+        assert last[0] == "hinge polish system singular: Singular matrix"
+        polished.append(len(partitions))
+    x, _ = references._try_polish(F, x_hat, last, failed)
+    assert x.tobytes() == x_hat.tobytes()
+    assert 0 < polished[0] < polished[1] < len(partitions)
+
+
 def test_l1svm_warmup_runs_apg_hood_until_the_polish_certifies(monkeypatch):
     # the golden l1svm objective: the polish certifies before the schedule's
-    # 34th epoch, and each epoch is one apg_hood call
+    # 34th epoch, and each epoch is one apg_hood call; no margin/support
+    # partition is polished twice, and the reference keeps its bytes
     F = CompositeObjective(gen_classification(62, 40, 8), "hinge",
                            Regularizer(l1=0.05))
     calls = count_calls(monkeypatch, "apg_hood")
+    partitions = count_partitions(monkeypatch)
     x = base_reference(F)
     assert 1 <= len(calls) <= 33
     assert F.full_value(x) == pytest.approx(0.21077018664805297, abs=1e-12)
+    assert 1 < len(partitions) == len(set(partitions))
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "dbbecf146a5eb1f5e167ceda2cd9d8fa3c11a4a06c46bce1bb5ced4523623dd9")
 
 
 def test_svm_reference_duality_gap_certificate():
