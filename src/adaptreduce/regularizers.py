@@ -91,15 +91,28 @@ class Regularizer:
             g = g + self.shift_weight * (x - self.shift_center)
         return g
 
+    def _shift(self, weight: float):
+        """weight * c, or None when that holds no nonzero (`prox_terms`)."""
+        if self.shift_weight == 0.0:
+            return None
+        shift = weight * self.shift_center
+        return shift if shift.any() else None
+
     def prox_terms(self, eta: float):
         """(shift, tau, scale) with prox(v, eta) = shrink(v + shift, tau) /
-        scale: shift = eta*sw*c and tau = eta*l1 (each None when it is
-        zero) and scale = 1 + eta*sigma, computed once per step size."""
+        scale: shift = eta*sw*c, None when it has no nonzero, tau = eta*l1,
+        None when it is zero, and scale = 1 + eta*sigma, computed once per
+        step size.
+
+        A shift of zeros alone (adapt_reg's, centred at x0 = 0) is dropped
+        with every bit kept: adding +-0.0 changes only the sign of a zero,
+        and the shrink writes every zero of its input as +0.0 (v + 0.0 at
+        tau None, sign(+-0.0) = 0.0 otherwise), before or after the divide
+        by a positive scale, which keeps a zero's sign."""
         if eta < 0.0:
             raise ConfigError("prox step size must be nonnegative")
-        shift = (eta * self.shift_weight * self.shift_center
-                 if self.shift_weight > 0.0 else None)
-        return shift, eta * self.l1 or None, 1.0 + eta * self.strong_convexity
+        return (self._shift(eta * self.shift_weight), eta * self.l1 or None,
+                1.0 + eta * self.strong_convexity)
 
     def prox(self, v, eta: float):
         """argmin_x eta*psi(x) + 1/2 |x - v|^2."""
@@ -115,14 +128,13 @@ class Regularizer:
 
     def conjugate_terms(self):
         """(shift, sigma, tau) with conjugate_argmax(u) = shrink((u + shift)
-        / sigma, tau): shift = sw*c and tau = l1/sigma (each None when it is
-        zero); requires strong convexity."""
+        / sigma, tau): shift = sw*c, None when it has no nonzero (every bit
+        is kept, as in `prox_terms`), and tau = l1/sigma, None when it is
+        zero; requires strong convexity."""
         sigma = self.strong_convexity
         if sigma <= 0.0:
             raise ConfigError("conjugate maximizer needs strong convexity")
-        shift = (self.shift_weight * self.shift_center
-                 if self.shift_weight > 0.0 else None)
-        return shift, sigma, self.l1 / sigma or None
+        return self._shift(self.shift_weight), sigma, self.l1 / sigma or None
 
     def conjugate_argmax(self, u):
         """The maximizer of <u, x> - psi(x); requires strong convexity."""

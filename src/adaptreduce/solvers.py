@@ -69,10 +69,13 @@ the step's terms in place, yet every float stays the one the vectorized
 formulas give:
 - a row that stores all d columns (`Dataset.step_rows` gives it indices
   None) takes a full-row body that reads and writes whole vectors, with no
-  gather or scatter; any other row gathers and scatters its support.  Each
-  element meets the same + - * / in the same order in both bodies and in
-  the formula (IEEE + and * are commutative, so `rval * c` is `c * rval`),
-  and writing a result into a buffer changes none of its bits;
+  gather or scatter; any other row gathers and scatters its support: x in
+  SVRG, v alone in SDCA, which forms x on the support from v for its dot
+  product and rebuilds all of x from v in one pass before a full row and at
+  the end of a sweep call (`_sdca_sweeper`).  Each element meets the same
+  + - * / in the same order in both bodies and in the formula (IEEE + and
+  * are commutative, so `rval * c` is `c * rval`), and writing a result
+  into a buffer changes none of its bits;
 - prox-SVRG moves x by eta (c a_i + mu) with c = f'(a_i x) - f'(a_i x~).
   Where f' is flat (the smoothed hinge off its ramp) c is often exactly
   zero: with c = +-0, c a_ij + mu_j is mu_j bit for bit but for the sign
@@ -92,11 +95,13 @@ formulas give:
 - psi's prox and conjugate maximizer are `regularizers._shrink`, the one
   soft-threshold, on constants `prox_terms` and `conjugate_terms` compute
   once per call (at tau None the SVRG step and SDCA's support branch write
-  its add of 0.0 inline); numpy takes an array operand faster than a
-  Python float, so the constants a full row meets are d-float arrays,
-  those the SDCA step meets on a row's support are 0-d arrays, and the
-  step's own scalar delta/n is written into a 0-d array; `x.dot` stands in
-  for `x @`, the same BLAS dot at less call cost;
+  its add of 0.0 inline); a shift with no nonzero, adapt_reg's around
+  x0 = 0, comes as None and is not added, with every bit kept; numpy
+  takes an array operand faster than a Python float, so the constants a
+  full row meets are d-float arrays, those the SDCA step meets on a row's
+  support are 0-d arrays, and the step's own scalar delta/n is written
+  into a 0-d array; `x.dot` stands in for `x @`, the same BLAS dot at less
+  call cost;
 - a scalar closed form stands in for a numpy call only where it needs
   nothing but + - * / and comparisons, which are exactly rounded; exp and
   log stay numpy calls, because math's differ in the last bit.  The one
@@ -770,9 +775,17 @@ def _sdca_coordinate(kind: str, b: float, lam: float, alpha_i: float,
 def _sdca_sweeper(F, lam, alpha, v, x):
     """A function that takes exact coordinate steps on a list of rows, in
     order.  Each step maximizes the lam-smoothed dual in alpha[i] and moves
-    v = -(1/n) sum_i alpha_i a_i and x = psi's conjugate maximizer at v on
-    row i's support only (psi is separable).  The caller's alpha (a list),
-    v and x are updated in place."""
+    v = -(1/n) sum_i alpha_i a_i on row i's support.  The caller's alpha (a
+    list), v and x are updated in place, and x must be psi's conjugate
+    maximizer at v when the function is called.
+
+    x is that maximizer again, bit for bit, when the function returns, but
+    not between the steps: a full row writes all of x from v (its dot
+    product reads all of it), while a sparse row forms x on its support
+    from v for its dot product and writes only v (psi is separable, so that
+    is x's value there).  After sparse steps have moved v, x is rebuilt
+    from v in one pass, by the full row's formula, before a full row and at
+    the end of the call."""
     n = F.n
     rows = F.data.step_rows()
     labels = F.data.labels.tolist()
@@ -788,10 +801,36 @@ def _sdca_sweeper(F, lam, alpha, v, x):
     tau0 = None if tau is None else np.array(tau)
     t = np.empty(F.dim)  # a full row's step, then the shrink's scratch
 
+    def primal():
+        """x from v, the full-row step's formula."""
+        if shift is None:
+            np.divide(v, sigmas, x)
+        else:
+            np.add(v, shift, x)
+            np.divide(x, sigmas, x)
+        _shrink(x, taus, zeros, t, x)
+
     def sweep(indices):
+        stale = False  # sparse steps moved v since x was last written
         for i in indices:
             ridx, rval = rows[i]
-            z = float(rval.dot(x) if ridx is None else rval.dot(x[ridx]))
+            if ridx is None:
+                if stale:
+                    primal()
+                    stale = False
+                z = float(rval.dot(x))
+            else:
+                vi = v[ridx]
+                if shift is None:
+                    xi = np.divide(vi, sigma0)
+                else:
+                    xi = np.add(vi, shift[ridx])
+                    np.divide(xi, sigma0, xi)
+                if tau is None:
+                    np.add(xi, zero0, xi)  # _shrink at tau = 0
+                else:
+                    _shrink(xi, tau0, zero0, None, xi)
+                z = float(rval.dot(xi))
             s = _sdca_coordinate(loss, labels[i], lam, alpha[i], z, q[i])
             delta = s - alpha[i]
             if delta == 0.0:
@@ -799,6 +838,7 @@ def _sdca_sweeper(F, lam, alpha, v, x):
             alpha[i] = s
             dn[()] = delta / n
             if ridx is None:
+                # primal()'s formula, inline: a dense sweep takes no call
                 np.multiply(rval, dn, t)
                 np.subtract(v, t, v)
                 if shift is None:
@@ -808,18 +848,11 @@ def _sdca_sweeper(F, lam, alpha, v, x):
                     np.divide(x, sigmas, x)
                 _shrink(x, taus, zeros, t, x)
             else:
-                step = np.multiply(rval, dn)
-                vi = v[ridx]
-                np.subtract(vi, step, vi)
+                np.subtract(vi, np.multiply(rval, dn), vi)
                 v[ridx] = vi
-                if shift is not None:
-                    vi += shift[ridx]
-                np.divide(vi, sigma0, vi)
-                if tau is None:
-                    np.add(vi, zero0, vi)  # _shrink at tau = 0
-                else:
-                    _shrink(vi, tau0, zero0, step, vi)
-                x[ridx] = vi
+                stale = True
+        if stale:
+            primal()
 
     return sweep
 
@@ -831,8 +864,11 @@ def sdca_hood(F, x0, policy, *, seed=None, pass_cap=None,
 
     Dual variables start at the loss derivatives of x0's margins (one pass,
     or none from a fitting `state`); the primal iterate is psi's conjugate
-    maximizer at v = -(1/n) sum_i alpha_i a_i, both updated on the sampled
-    row's support only.
+    maximizer at v = -(1/n) sum_i alpha_i a_i.  A step moves v on the
+    sampled row's support.  A full row's step writes all of x from v; a
+    sparse row's writes no x, which is rebuilt from v before the next full
+    row and at the end of each sweep, so every statistic and the report
+    read x at v (`_sdca_sweeper`).
     TheoryBudget allots ceil(n + L/sigma) steps per the standard SDCA epoch
     count — without a certification claim (SDCA does not satisfy HOOD).
     """

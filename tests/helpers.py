@@ -6,9 +6,9 @@ maximization, so the closed forms in `adaptreduce.losses` and
 `adaptreduce.regularizers` can be tested against something independent;
 `ScalarLoss` is the one-term loss they take.  `quadratic_reference` gives
 exact minimizers of quadratics for solver certification, `plain_svrg`
-is prox-SVRG by its formula, one step at a time, and
-`full_sweep_svm_reference` is the Case3 reference whose warm-up sweeps
-every row in every epoch.
+and `plain_sdca` are prox-SVRG and SDCA by their formulas, one step at a
+time, and `full_sweep_svm_reference` is the Case3 reference whose warm-up
+sweeps every row in every epoch.
 """
 import math
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from adaptreduce import (ConfigError, NumericalError, Regularizer,
                          loss_lipschitz, loss_smoothness, loss_value,
                          references, smoothed_deriv)
 from adaptreduce.losses import _check_kind
-from adaptreduce.solvers import _rng, _sdca_sweeper
+from adaptreduce.solvers import _rng, _sdca_coordinate, _sdca_sweeper
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,25 @@ def plain_svrg(F, x0, steps: int, seed):
             taken.append((i, c))
     return x, taken
 
+
+
+def plain_sdca(F, lam, alpha, v, indices):
+    """Exact SDCA coordinate steps on `indices` in order, as
+    `solvers._sdca_sweeper` takes them, but by the formula: every step
+    takes x = `Regularizer.conjugate_argmax(v)` in full and a_i x over the
+    row's stored entries.  alpha (a list) and v are updated in place; the
+    x at v is returned."""
+    q = (F.data.row_sq_norms() / (F.strong_convexity * F.n)).tolist()
+    b = F.data.labels.tolist()
+    for i in indices:
+        idx, val = F.data.row(i)
+        x = F.reg.conjugate_argmax(v)
+        s = _sdca_coordinate(F.loss, b[i], lam, alpha[i],
+                             float(val @ x[idx]), q[i])
+        if s != alpha[i]:
+            v[idx] -= val * ((s - alpha[i]) / F.n)
+            alpha[i] = s
+    return F.reg.conjugate_argmax(v)
 
 def full_sweep_svm_reference(F, tol=1e-12):
     """The Case3 (hinge, l2) reference as exact dual coordinate ascent that

@@ -225,3 +225,33 @@ def test_shift_center_is_read_only():
     reg = Regularizer(shift_weight=1.0, shift_center=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         reg.shift_center[0] = 5.0
+
+
+# inputs holding both signed zeros, and values on both sides of the l1
+# threshold
+SIGNED_ZERO_INPUT = np.array([-0.0, 0.0, -0.0, 0.0, 0.1, -0.1, 2.0, -3.0])
+ZERO_CENTER = np.array([-0.0, 0.0] * 4)
+ONE_NONZERO_CENTER = ZERO_CENTER.copy()
+ONE_NONZERO_CENTER[2] = 0.5
+
+
+@pytest.mark.parametrize("l1", [0.0, 0.25])
+@pytest.mark.parametrize("center, dropped", [(ZERO_CENTER, True),
+                                             (ONE_NONZERO_CENTER, False)],
+                         ids=["zero-center", "one-nonzero"])
+def test_a_shift_of_zeros_is_dropped_with_every_bit_kept(l1, center,
+                                                         dropped):
+    # prox_terms and conjugate_terms give shift None only when the shift has
+    # no nonzero; prox and conjugate_argmax then keep the bits of their
+    # closed forms with the shift added as it is, signed zeros included
+    reg = Regularizer(l1=l1, l2=0.3, shift_weight=0.2, shift_center=center)
+    eta, sigma = 0.7, reg.strong_convexity
+    assert (reg.prox_terms(eta)[0] is None) is dropped
+    assert (reg.conjugate_terms()[0] is None) is dropped
+    for u in (SIGNED_ZERO_INPUT, -SIGNED_ZERO_INPUT):
+        prox = (soft_threshold(u + eta * 0.2 * center, eta * l1)
+                / (1.0 + eta * sigma))
+        argmax = soft_threshold((u + 0.2 * center) / sigma, l1 / sigma)
+        assert reg.prox(u, eta).tobytes() == prox.tobytes()
+        assert reg.conjugate_argmax(u).tobytes() == argmax.tobytes()
+        assert not np.signbit(reg.prox(u, eta)[:4]).any()

@@ -15,7 +15,7 @@ from adaptreduce import (CompositeObjective, ConfigError, Dataset,
                          reference_minimize, sdca_hood, svrg_hood)
 from adaptreduce import losses, solvers
 from adaptreduce.solvers import _sdca_coordinate
-from helpers import plain_svrg, quadratic_reference
+from helpers import plain_sdca, plain_svrg, quadratic_reference
 
 
 def ridge(rng, n, d, l2):
@@ -578,6 +578,81 @@ def test_full_and_sparse_row_steps_keep_their_bits(oracle, name):
     assert r.iterations == 500
     assert (hashlib.sha256(r.x_out.tobytes()).hexdigest()
             == STEP_BODY_DIGESTS[oracle, name])
+
+
+# a shift center of signed zeros alone, as adapt_reg's at x0 = 0 is
+ZERO_CENTER = np.zeros(12)
+ZERO_CENTER[::3] = -0.0
+ZERO_SHIFT_REGS = {
+    "zero shift": Regularizer(shift_weight=0.1, shift_center=ZERO_CENTER),
+    "l1+zero shift": Regularizer(l1=0.02, l2=0.05, shift_weight=0.1,
+                                 shift_center=ZERO_CENTER),
+}
+# (oracle, regularizer) -> SHA-256 of x_out
+ZERO_SHIFT_DIGESTS = {
+    ("sdca", "zero shift"):
+        "b980350c56744a293fcf91ddfc5e19774a3eb5c619e1169a66218048699b621e",
+    ("sdca", "l1+zero shift"):
+        "24eb97f99e0f4b75cf85a7f96effe8393aa89ad172f7db068d9fe4eb75366ae2",
+    ("svrg", "zero shift"):
+        "4a5a394c4014fd8c442c00cdf4cd56024eddccf3be04671d706de848403e716a",
+    ("svrg", "l1+zero shift"):
+        "d14bdd536c8e7bfa29f4b322cf96e4017f3f4eedbcd90bbe3930cd3a1c121d17",
+}
+
+
+@pytest.mark.parametrize("oracle, name", list(ZERO_SHIFT_DIGESTS),
+                         ids=[f"{o}-{n}" for o, n in ZERO_SHIFT_DIGESTS])
+def test_a_shift_of_zeros_changes_no_bit(oracle, name):
+    # the shift holds no nonzero, so the steps skip adding it; the digests
+    # were taken while every step added it.  x0 holds signed zeros, and the
+    # runs take both step bodies (SDCA on logistic loss, SVRG on the hinge
+    # smoothed at 0.2)
+    reg = ZERO_SHIFT_REGS[name]
+    assert reg.prox_terms(0.5)[0] is None and reg.conjugate_terms()[0] is None
+    solve, loss, lam = {"sdca": (sdca_hood, "logistic", None),
+                        "svrg": (svrg_hood, "hinge", 0.2)}[oracle]
+    F = CompositeObjective(mixed_rows(81, 60, 12), loss, reg, lam)
+    x0 = np.zeros(12)
+    x0[::2] = -0.0
+    r = solve(F, x0, FixedIterations(500), seed=7)
+    assert r.iterations == 500
+    assert (hashlib.sha256(r.x_out.tobytes()).hexdigest()
+            == ZERO_SHIFT_DIGESTS[oracle, name])
+
+
+SWEEP_OBJECTIVES = {**STEP_BODY_OBJECTIVES,
+                    "zero shift": ("logistic", None,
+                                   ZERO_SHIFT_REGS["zero shift"])}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_OBJECTIVES))
+def test_sdca_sweep_ends_each_call_at_the_conjugate_maximizer(name):
+    # a sparse row's step writes v alone, so x is rebuilt from v before a
+    # full row and at the end of a call: after every call x is
+    # conjugate_argmax(v) bit for bit, and alpha, v and x are those of
+    # SDCA by its formula (helpers.plain_sdca).  Rows 0, 3, 6, ... store
+    # all 12 columns; the calls end on a sparse row, take a full row right
+    # after sparse rows, and run full rows alone
+    loss, lam, reg = SWEEP_OBJECTIVES[name]
+    F = CompositeObjective(mixed_rows(81, 60, 12), loss, reg, lam)
+    lam = 0.0 if lam is None else lam
+    alpha, v = [0.0] * F.n, np.zeros(12)
+    v[::2] = -0.0
+    plain_alpha, plain_v = list(alpha), v.copy()
+    x = F.reg.conjugate_argmax(v)
+    sweep = solvers._sdca_sweeper(F, lam, alpha, v, x)
+    rng = np.random.default_rng(5)
+    calls = [[1, 2, 4, 5], [7, 8, 9], [0, 3], [10, 12, 11],
+             *(rng.integers(0, F.n, size=k).tolist() for k in (17, 30, 45))]
+    for indices in calls:
+        sweep(indices)
+        plain_x = plain_sdca(F, lam, plain_alpha, plain_v, indices)
+        assert x.tobytes() == F.reg.conjugate_argmax(v).tobytes()
+        assert x.tobytes() == plain_x.tobytes()
+        assert v.tobytes() == plain_v.tobytes()
+        assert np.array(alpha).tobytes() == np.array(plain_alpha).tobytes()
+    assert np.count_nonzero(alpha) >= 20
 
 
 def zero_column_rows():
