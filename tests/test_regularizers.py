@@ -254,4 +254,3 @@ def test_a_shift_of_zeros_is_dropped_with_every_bit_kept(l1, center,
         argmax = soft_threshold((u + 0.2 * center) / sigma, l1 / sigma)
         assert reg.prox(u, eta).tobytes() == prox.tobytes()
         assert reg.conjugate_argmax(u).tobytes() == argmax.tobytes()
-        assert not np.signbit(reg.prox(u, eta)[:4]).any()
